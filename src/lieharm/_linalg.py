@@ -12,6 +12,8 @@ which is what the catalog verification uses to pin down integer invariants.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,6 +87,45 @@ def eye(n: int, exact: bool = False) -> np.ndarray:
 
 def to_float(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# contraction helpers
+# ---------------------------------------------------------------------------
+
+#: Element budget of one block of a blocked contraction (2 MB of float64).
+BLOCK_ELEMENTS = 1 << 18
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def strict_pairs(n: int):
+    """Index arrays ``(i, j)`` of all basis pairs with i < j, row-major."""
+    return _frozen(*np.nonzero(np.triu(np.ones((n, n), dtype=bool), 1)))
+
+
+@functools.lru_cache(maxsize=64)
+def strict_triples(n: int):
+    """Index arrays ``(i, j, k)`` of all basis triples with i < j < k,
+    sorted by i (then j, then k)."""
+    r = np.arange(n)
+    mask = (r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r[None, None, :])
+    return _frozen(*np.nonzero(mask))
+
+
+def max_row_norm(rows) -> float:
+    """Largest Euclidean norm among the rows (last axis) of ``rows``; 0.0 when
+    there are none.  Each row's norm is the one :func:`norm` gives it."""
+    x = np.asarray(rows, dtype=float)
+    if x.size == 0:
+        return 0.0
+    x = x.reshape(-1, 1, x.shape[-1])
+    return math.sqrt((x @ x.transpose(0, 2, 1)).max())
 
 
 # ---------------------------------------------------------------------------

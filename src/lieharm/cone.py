@@ -33,10 +33,6 @@ class ConeError(ValueError):
     """Input unusable for automorphism/cone analysis."""
 
 
-def _float(v) -> np.ndarray:
-    return np.asarray(v, dtype=float)
-
-
 @dataclass(frozen=True)
 class Automorphism:
     """An invertible, bracket-preserving operator on a Euclidean Lie algebra.
@@ -61,7 +57,7 @@ class Automorphism:
         return self.as_map().hom_defect()
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        if la.rank(_float(self.matrix), tol) != self.base.dim:
+        if la.rank(la.to_float(self.matrix), tol) != self.base.dim:
             raise ConeError("automorphism matrix is singular")
         nphi = la.norm(self.matrix)
         scale = 1.0 + la.norm(self.base.alg.c) * (nphi + nphi ** 2)
@@ -92,10 +88,7 @@ def automorphism_trace_form(adj: Automorphism, tol: Tolerance = DEFAULT_TOL) -> 
     base = adj.base
     phi = adj.matrix
     phi_star = base.gram_inv @ phi.T @ base.gram
-    out = la.zeros(base.dim, base.exact)
-    for k in range(base.dim):
-        out[k] = np.trace(phi_star @ base.ad(base.basis(k)) @ phi)
-    return out
+    return base.alg.trace_pairing(phi @ phi_star)       # tr(Phi^* ad_k Phi) = tr(ad_k Phi Phi^*)
 
 
 def inner_tension(adj: Automorphism, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -111,7 +104,7 @@ def inner_tension(adj: Automorphism, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     alpha = automorphism_trace_form(adj, tol)
     base = adj.base
     expected = base.gram_inv @ alpha - adj.matrix @ base.unimodular_vector(tol)
-    diff = la.norm(_float(tau) - _float(expected))
+    diff = la.norm(la.to_float(tau) - la.to_float(expected))
     if diff > 10.0 * tol.threshold(1.0 + la.norm(tau) + la.norm(alpha)):
         raise CrossCheckError(
             f"inner tension and trace-form dual disagree by {diff:.3e}"
@@ -202,28 +195,19 @@ def _cone_constraints(ela: EuclideanLieAlgebra) -> np.ndarray:
     """Rows of the joint linear system on vec(J) (C-order flattening)."""
     n = ela.dim
     g = ela.gram
-    exact = ela.exact
-    rows = []
-    # metric symmetry: (gram J - J^T gram)_{ab} = 0
-    for aa in range(n):
-        for bb in range(aa + 1, n):
-            row = la.zeros(n * n, exact)
-            for cc in range(n):
-                row[cc * n + bb] = row[cc * n + bb] + g[aa, cc]
-                row[cc * n + aa] = row[cc * n + aa] - g[cc, bb]
-            rows.append(row)
-    # trace identity: tr(J ad_k) - tr(ad_{J b_k}) = 0
-    ad_traces = [np.trace(ela.ad(ela.basis(m))) for m in range(n)]
-    for k in range(n):
-        adk = ela.ad(ela.basis(k))
-        row = la.zeros(n * n, exact)
-        for aa in range(n):
-            for bb in range(n):
-                row[aa * n + bb] = row[aa * n + bb] + adk[bb, aa]
-        for m in range(n):
-            row[m * n + k] = row[m * n + k] - ad_traces[m]
-        rows.append(row)
-    return np.stack(rows, axis=0)
+    # metric symmetry, one row per a < b: (gram J - J^T gram)_{ab} = 0, i.e.
+    # sum_c g[a, c] J[c, b] - g[c, b] J[c, a] = 0
+    aa, bb = la.strict_pairs(n)
+    pick = np.arange(len(aa))
+    sym = la.zeros((len(aa), n, n), ela.exact)
+    sym[pick, :, bb] = g[aa, :]
+    sym[pick, :, aa] -= g[:, bb].T
+    # trace identity, one row per k: tr(J ad_k) - tr(ad_{J b_k}) = 0, where
+    # tr(J ad_k) = sum_ab J[a, b] c[k, a, b] and tr(ad_{J b_k}) = sum_m J[m, k] tr(ad_m)
+    trace = ela.alg.c.copy()
+    diag = np.arange(n)
+    trace[diag, :, diag] -= ela.alg.ad_traces()
+    return np.concatenate([sym.reshape(-1, n * n), trace.reshape(n, n * n)])
 
 
 def harmonic_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> ConeResult:
@@ -285,20 +269,18 @@ def cone_membership(ela: EuclideanLieAlgebra, j, tol: Tolerance = DEFAULT_TOL) -
         raise ConeError(f"operator must be {n} x {n}")
     g = ela.gram
     gj = g @ jm
-    sym_defect = la.norm(_float(gj) - _float(gj).T)
+    sym_defect = la.norm(la.to_float(gj) - la.to_float(gj).T)
     if sym_defect > tol.threshold(1.0 + la.norm(g) * la.norm(jm)):
         raise ConeError(
             f"operator is not symmetric w.r.t. the metric (defect {sym_defect:.3e})"
         )
-    worst = 0.0
-    for k in range(n):
-        lhs = np.trace(jm @ ela.ad(ela.basis(k)))
-        rhs = np.trace(ela.ad(jm @ ela.basis(k)))
-        worst = max(worst, abs(float(lhs - rhs)))
+    # tr(J ad_k) against tr(ad_{J b_k}) for every k
+    residual = la.to_float(ela.alg.trace_pairing(jm) - ela.alg.ad_traces() @ jm)
+    worst = float(np.abs(residual).max(initial=0.0))
     scale = 1.0 + la.norm(jm) * la.norm(ela.alg.c)
     if worst > tol.threshold(scale):
         return False
-    sym = (_float(gj) + _float(gj).T) / 2.0
+    sym = (la.to_float(gj) + la.to_float(gj).T) / 2.0
     if ela.exact:
         return la.is_positive_definite(gj, tol)
     return la.is_positive_definite(sym, tol)

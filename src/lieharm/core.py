@@ -17,7 +17,10 @@ Two conventions are fixed once and used everywhere:
 Quantities defined as a sum of a bilinear expression over an orthonormal
 basis are computed by the equivalent metric contraction
 ``sum_ij (G^-1)_ij expr(e_i, e_j)`` — identical for every orthonormal basis
-and exact in rational mode.
+and exact in rational mode.  All such sums, and every identity checked over
+basis pairs or triples, are evaluated as whole-tensor contractions of ``c``,
+``G^-1`` and the Levi-Civita table (reshaped matrix products), never one
+basis vector at a time.
 """
 
 from __future__ import annotations
@@ -129,6 +132,15 @@ class LieAlgebra:
         e[i] = Fraction(1) if self.exact else 1.0
         return e
 
+    def ad_traces(self) -> np.ndarray:
+        """tr(ad_{e_k}) for every basis vector e_k."""
+        return np.trace(self.c, axis1=1, axis2=2)
+
+    def trace_pairing(self, m) -> np.ndarray:
+        """The covector k -> tr(ad_{e_k} m) of a square matrix m."""
+        n = self.dim
+        return self.c.reshape(n, n * n) @ np.asarray(m).reshape(n * n)
+
     def derived_subspace(self) -> np.ndarray:
         """Columns spanning [g, g] (not necessarily independent)."""
         cols = [self.c[i, j, :] for i in range(self.dim) for j in range(i + 1, self.dim)]
@@ -138,20 +150,33 @@ class LieAlgebra:
 
 
 def jacobi_defect(alg: LieAlgebra) -> float:
-    """Largest norm of a cyclic Jacobi sum over basis triples."""
+    """Largest norm of a cyclic Jacobi sum over basis triples i < j < k.
+
+    With ``T[i,j,k] = [[e_i,e_j],e_k]`` (one product of the flattened
+    tensor with itself) the cyclic sum is ``T[i,j,k] + T[j,k,i] + T[k,i,j]``.
+    It is formed for a block of ``i`` at a time, so the temporaries stay
+    within ``BLOCK_ELEMENTS`` entries whatever the dimension.
+    """
+    n = alg.dim
+    if n < 3:
+        return 0.0
+    c = alg.c
+    pairs = c.reshape(n * n, n)                   # [(a, b), l]
+    right = c.reshape(n, n * n)                   # [l, (k, m)]
+    ii, jj, kk = la.strict_triples(n)
+    step = max(1, la.BLOCK_ELEMENTS // n ** 3)
     worst = 0.0
-    for i in range(alg.dim):
-        ei = alg.basis(i)
-        for j in range(i + 1, alg.dim):
-            ej = alg.basis(j)
-            for k in range(j + 1, alg.dim):
-                ek = alg.basis(k)
-                s = (
-                    alg.bracket(alg.bracket(ei, ej), ek)
-                    + alg.bracket(alg.bracket(ej, ek), ei)
-                    + alg.bracket(alg.bracket(ek, ei), ej)
-                )
-                worst = max(worst, la.norm(s))
+    for lo in range(0, n - 2, step):
+        hi = min(lo + step, n - 2)
+        b = hi - lo
+        mid = np.ascontiguousarray(c[:, lo:hi])    # [l or k, i, .]
+        # each term indexed [i, j, k, m] for i in [lo, hi)
+        s = (pairs[lo * n:hi * n] @ right).reshape(b, n, n, n)
+        s = s + (pairs @ mid.reshape(n, b * n)).reshape(n, n, b, n).transpose(2, 0, 1, 3)
+        s = s + (mid.reshape(n * b, n) @ right).reshape(n, b, n, n).transpose(1, 2, 0, 3)
+        first, last = np.searchsorted(ii, (lo, hi))
+        rows = s[ii[first:last] - lo, jj[first:last], kk[first:last]]
+        worst = max(worst, la.max_row_norm(rows))
     return worst
 
 
@@ -256,19 +281,15 @@ class EuclideanLieAlgebra:
         return self.alg.basis(i)
 
     def metric_trace(self, expr) -> np.ndarray:
-        """sum_i expr(b_i, b_i) over an orthonormal basis, as the contraction
-        sum_ij (G^-1)_ij expr(e_i, e_j) (basis independent, exact-safe)."""
+        """sum_i expr(b_i, b_i) over an orthonormal basis of a bilinear
+        ``expr``, as the contraction sum_ij (G^-1)_ij expr(e_i, e_j) =
+        sum_i expr(e_i, G^-1 e_i) (basis independent, exact-safe)."""
         ginv = self.gram_inv
-        n = self.dim
         out = None
-        for i in range(n):
-            for j in range(n):
-                w = ginv[i, j]
-                if w == 0:
-                    continue
-                term = w * expr(self.basis(i), self.basis(j))
-                out = term if out is None else out + term
-        return out if out is not None else la.zeros(n, self.exact)
+        for i in range(self.dim):
+            term = expr(self.basis(i), ginv[:, i])
+            out = term if out is None else out + term
+        return out if out is not None else la.zeros(self.dim, self.exact)
 
     # -- first-order geometry ---------------------------------------------
 
@@ -280,12 +301,8 @@ class EuclideanLieAlgebra:
         :class:`CrossCheckError`.
         """
         if self._unimodular is None:
-            traces = la.zeros(self.dim, self.exact)
-            for i in range(self.dim):
-                traces[i] = np.trace(self.ad(self.basis(i)))
-            by_trace = self.gram_inv @ traces
-            lc = self.levi_civita()
-            by_product = self.metric_trace(lambda u, v: lc.product(u, v))
+            by_trace = self.gram_inv @ self.alg.ad_traces()
+            by_product = self.levi_civita().frame_sum(self.gram_inv)
             _check_cross("unimodular vector", by_trace, by_product, self.gram, tol)
             self._unimodular = by_trace
         return self._unimodular
@@ -295,9 +312,12 @@ class EuclideanLieAlgebra:
         return la.norm(u) <= tol.threshold(1.0 + la.norm(self.alg.c))
 
     def levi_civita(self) -> "LeviCivitaProduct":
+        # Only the table is memoized: a memoized product would refer back to
+        # this object, and the reference cycle would keep both (with their
+        # arrays) alive until the cyclic garbage collector happens to run.
         if self._levi_civita is None:
-            self._levi_civita = LeviCivitaProduct._build(self)
-        return self._levi_civita
+            self._levi_civita = LeviCivitaProduct._table(self)
+        return LeviCivitaProduct(self, self._levi_civita)
 
     # -- curvature ----------------------------------------------------------
 
@@ -308,13 +328,28 @@ class EuclideanLieAlgebra:
         av = lc.operator(v)
         return au @ av - av @ au - lc.operator(self.bracket(u, v))
 
+    def curvature_trace(self, u, weights) -> np.ndarray:
+        """sum_ab weights[a,b] K(u, e_a) e_b, for a vector u or for each row
+        of a matrix u.
+
+        With ``weights = G^-1`` this is sum_i K(u, b_i) b_i over an
+        orthonormal basis.  Expanding K(u, v) = [A_u, A_v] - A_[u,v] gives
+        three frame sums of the Levi-Civita table:
+        A_u(sum_ab w_ab A_a e_b) - sum_ab w_ab A_a A_u e_b
+        - sum_ab w_ab A_[u,e_a] e_b.
+        """
+        lc = self.levi_civita()
+        n = self.dim
+        u = np.asarray(u)
+        lead = u.shape[:-1]
+        a_u = (u @ lc.table.reshape(n, n * n)).reshape(*lead, n, n)     # [a, b] = (A_u e_a)_b
+        ad_u = (u @ self.alg.c.reshape(n, n * n)).reshape(*lead, n, n)  # [a, x] = [u, e_a]_x
+        return lc.frame_sum(weights) @ a_u - lc.frame_sum(
+            weights @ a_u + np.swapaxes(ad_u, -1, -2) @ weights)
+
     def ricci_operator(self) -> np.ndarray:
         """Matrix of ric(u) = sum_i K(u, b_i) b_i over an orthonormal basis."""
-        cols = []
-        for k in range(self.dim):
-            ek = self.basis(k)
-            cols.append(self.metric_trace(lambda u, v, ek=ek: self.curvature(ek, u) @ v))
-        return np.stack(cols, axis=1)
+        return self.curvature_trace(la.eye(self.dim, self.exact), self.gram_inv).T
 
     # -- distinguished subspaces -------------------------------------------
 
@@ -358,7 +393,7 @@ class LeviCivitaProduct:
         self.table = table
 
     @staticmethod
-    def _build(ela: EuclideanLieAlgebra) -> "LeviCivitaProduct":
+    def _table(ela: EuclideanLieAlgebra) -> np.ndarray:
         n = ela.dim
         g = ela.gram
         c = ela.alg.c
@@ -367,11 +402,18 @@ class LeviCivitaProduct:
         rhs = cov + np.transpose(cov, (1, 2, 0)) + np.transpose(cov, (2, 1, 0))
         ginv = ela.gram_inv
         half = Fraction(1, 2) if ela.exact else 0.5
-        table = half * np.einsum("ijl,lk->ijk", rhs, ginv.T)
-        return LeviCivitaProduct(ela, table)
+        return half * np.einsum("ijl,lk->ijk", rhs, ginv.T)
 
     def product(self, u, v) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(u), np.asarray(v), self.table)
+
+    def frame_sum(self, weights) -> np.ndarray:
+        """sum_ab weights[..., a, b] A_{e_a} e_b for a weight matrix (or a
+        stack of them).  With ``weights = G^-1`` it is the orthonormal-frame
+        sum sum_i A_{b_i} b_i."""
+        n = self.table.shape[0]
+        w = np.asarray(weights)
+        return w.reshape(*w.shape[:-2], n * n) @ self.table.reshape(n * n, n)
 
     def operator(self, u) -> np.ndarray:
         """Matrix of v -> A_u v."""

@@ -38,6 +38,7 @@ from .core import (
     CrossCheckError,
     EuclideanLieAlgebra,
     Subalgebra,
+    _check_cross,
     quotient_metric,
     second_fundamental,
 )
@@ -45,10 +46,6 @@ from .core import (
 
 class MapError(ValueError):
     """The map data is unusable for the requested operation."""
-
-
-def _float(v) -> np.ndarray:
-    return np.asarray(v, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -102,19 +99,18 @@ class LieAlgebraMap:
 
     def hom_defect(self) -> float:
         """max_{i<j} | xi[b_i, b_j] - [xi b_i, xi b_j] | over basis pairs."""
-        worst = 0.0
-        for i in range(self.source.dim):
-            ei = self.source.basis(i)
-            for j in range(i + 1, self.source.dim):
-                ej = self.source.basis(j)
-                d = self.apply(self.source.bracket(ei, ej)) - self.target.bracket(
-                    self.apply(ei), self.apply(ej)
-                )
-                worst = max(worst, la.norm(d))
-        return worst
+        ns, nt = self.source.dim, self.target.dim
+        if ns < 2:
+            return 0.0
+        xi = self.matrix
+        image = self.source.alg.c @ xi.T                                # [i, j, m]
+        half = (xi.T @ self.target.alg.c.reshape(nt, nt * nt)).reshape(ns, nt, nt)
+        pushed = xi.T @ half                                           # [i, j, m]
+        ii, jj = la.strict_pairs(ns)
+        return la.max_row_norm((image - pushed)[ii, jj])
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        return la.rank(_float(self.matrix), tol)
+        return la.rank(la.to_float(self.matrix), tol)
 
 
 def validate_hom(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -145,8 +141,8 @@ def compose(outer: LieAlgebraMap, inner: LieAlgebraMap,
     mid_a, mid_b = inner.target, outer.source
     if mid_a.dim != mid_b.dim:
         raise MapError("composition: middle dimensions differ")
-    c_diff = la.norm(_float(mid_a.alg.c) - _float(mid_b.alg.c))
-    g_diff = la.norm(_float(mid_a.gram) - _float(mid_b.gram))
+    c_diff = la.norm(la.to_float(mid_a.alg.c) - la.to_float(mid_b.alg.c))
+    g_diff = la.norm(la.to_float(mid_a.gram) - la.to_float(mid_b.gram))
     if c_diff > tol.threshold(1.0 + la.norm(mid_a.alg.c)) or g_diff > tol.threshold(
         1.0 + la.norm(mid_a.gram)
     ):
@@ -170,23 +166,30 @@ def connection_trace(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     Cross-checked against the trace identity <U_xi, u> = tr(xi^* ad_u xi);
     the direct sum is returned.
     """
-    lc = m.target.levi_civita()
-    direct = m.source.metric_trace(lambda u, v: lc.product(m.apply(u), m.apply(v)))
-
-    xi, xi_star = m.matrix, m.adjoint_matrix()
-    pairings = la.zeros(m.target.dim, m.exact)
-    for k in range(m.target.dim):
-        pairings[k] = np.trace(xi_star @ m.target.ad(m.target.basis(k)) @ xi)
-    dual = m.target.gram_inv @ pairings
-    from .core import _check_cross
-
-    _check_cross("connection trace", direct, dual, m.target.gram, tol)
+    tgt, xi = m.target, m.matrix
+    direct = tgt.levi_civita().frame_sum(_frame_weights(m))
+    # tr(xi^* ad_u xi) = tr(ad_u xi xi^*)
+    dual = tgt.gram_inv @ tgt.alg.trace_pairing(xi @ m.adjoint_matrix())
+    _check_cross("connection trace", direct, dual, tgt.gram, tol)
     return direct
+
+
+def _frame_weights(m: LieAlgebraMap) -> np.ndarray:
+    """xi G_src^-1 xi^T = sum_i (xi b_i)(xi b_i)^T over an orthonormal source
+    basis: the weights of every frame sum over the image of the basis."""
+    return m.matrix @ m.source.gram_inv @ m.matrix.T
+
+
+def _tension_terms(m: LieAlgebraMap, tol: Tolerance):
+    """(U_src, U_xi, tau), each computed once."""
+    u_src = m.source.unimodular_vector(tol)
+    u_xi = connection_trace(m, tol)
+    return u_src, u_xi, u_xi - m.apply(u_src)
 
 
 def tension(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """tau = U_xi - xi(U_src); harmonic maps are its zeros."""
-    return connection_trace(m, tol) - m.apply(m.source.unimodular_vector(tol))
+    return _tension_terms(m, tol)[2]
 
 
 def bitension(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -195,41 +198,32 @@ def bitension(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Computed by the curvature formula (returned) and independently by the
     trace identity for every pairing <tau2, b_k>; the two must agree.
     """
-    tau2, _ = _bitension_terms(m, tol)
+    tau2, _ = _bitension_terms(m, tol, *_tension_terms(m, tol))
     return tau2
 
 
-def _bitension_terms(m: LieAlgebraMap, tol: Tolerance):
-    src, tgt = m.source, m.target
+def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
+    """tau2 and the norms of its three terms, given ``_tension_terms(m)``."""
+    tgt = m.target
     lc = tgt.levi_civita()
-    tau = tension(m, tol)
-
-    t_second = src.metric_trace(
-        lambda u, v: lc.product(m.apply(u), lc.product(m.apply(v), tau))
-    )
-    t_curv = src.metric_trace(
-        lambda u, v: tgt.curvature(tau, m.apply(u)) @ m.apply(v)
-    )
-    t_drift = lc.product(m.apply(src.unimodular_vector(tol)), tau)
+    w = _frame_weights(m)
+    t_second = lc.frame_sum(w @ (tau @ lc.table))      # sum_i B_{xi b_i} B_{xi b_i} tau
+    t_curv = tgt.curvature_trace(tau, w)                # sum_i K(tau, xi b_i) xi b_i
+    t_drift = lc.product(m.apply(u_src), tau)
     tau2 = -(t_second + t_curv) + t_drift
 
-    # independent route: pairings through the adjoint trace identity
-    xi, xi_star = m.matrix, m.adjoint_matrix()
-    ad_tau = tgt.ad(tau)
-    u_xi = connection_trace(m, tol)
-    pairings = la.zeros(tgt.dim, m.exact)
-    for k in range(tgt.dim):
-        ek = tgt.basis(k)
-        sym = tgt.ad(ek) + tgt.ad_star(ek)
-        pairings[k] = (
-            np.trace(xi_star @ sym @ ad_tau @ xi)
-            - tgt.pair(tgt.bracket(ek, tau), tau)
-            - tgt.pair(tgt.bracket(tau, u_xi), ek)
-        )
+    # independent route: pairings through the adjoint trace identity, with
+    # tr(xi^* (ad_u + ad_u^*) ad_tau xi) = tr(ad_u (N + (G N G^-1)^T)) for
+    # N = ad_tau xi xi^*, and <[u, tau], tau> = tr(ad_u tau (G tau)^T)
+    g = tgt.gram
+    n_tau = tgt.ad(tau) @ m.matrix @ m.adjoint_matrix()
+    sym = n_tau + (g @ n_tau @ tgt.gram_inv).T
+    pairings = (tgt.alg.trace_pairing(sym - np.outer(tau, g @ tau))
+                - tgt.bracket(tau, u_xi) @ g)
     dual = tgt.gram_inv @ pairings
 
     scale = 1.0 + la.norm(t_second) + la.norm(t_curv) + la.norm(t_drift)
-    diff = la.norm(_float(tau2) - _float(dual))
+    diff = la.norm(la.to_float(tau2) - la.to_float(dual))
     if diff > 10.0 * tol.threshold(scale):
         raise CrossCheckError(
             f"bitension: curvature formula and trace identity disagree by "
@@ -251,7 +245,7 @@ def _bitension_terms(m: LieAlgebraMap, tol: Tolerance):
 def riemannian_immersion_defect(m: LieAlgebraMap) -> float:
     """|| xi^T G2 xi - G1 ||: zero iff xi preserves inner products."""
     return la.norm(
-        _float(m.matrix.T @ m.target.gram @ m.matrix) - _float(m.source.gram)
+        la.to_float(m.matrix.T @ m.target.gram @ m.matrix) - la.to_float(m.source.gram)
     )
 
 
@@ -264,7 +258,7 @@ def riemannian_submersion_defect(m: LieAlgebraMap) -> float:
     """|| xi G1^-1 xi^T - G2^-1 ||: zero iff xi is isometric on the
     orthogonal complement of its kernel (and onto)."""
     return la.norm(
-        _float(m.matrix @ m.source.gram_inv @ m.matrix.T) - _float(m.target.gram_inv)
+        la.to_float(m.matrix @ m.source.gram_inv @ m.matrix.T) - la.to_float(m.target.gram_inv)
     )
 
 
@@ -299,10 +293,8 @@ def classify(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL,
     """
     if require_homomorphism:
         require_hom(m, tol)
-    u_src = m.source.unimodular_vector(tol)
-    u_xi = connection_trace(m, tol)
-    tau = u_xi - m.apply(u_src)
-    tau2, norms = _bitension_terms(m, tol)
+    u_src, u_xi, tau = _tension_terms(m, tol)
+    tau2, norms = _bitension_terms(m, tol, u_src, u_xi, tau)
 
     h_scale = 1.0 + la.norm(m.matrix) * la.norm(u_src) + la.norm(u_xi)
     harmonic = la.norm(tau) <= tol.threshold(h_scale)
@@ -361,7 +353,7 @@ def submersion_split(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> Submersi
     tau_full = tension(m, tol)
     tau_bar = tension(qmap, tol)
     corr = m.apply(mean)
-    defect = la.norm(_float(tau_full) - (_float(tau_bar) - _float(corr)))
+    defect = la.norm(la.to_float(tau_full) - (la.to_float(tau_bar) - la.to_float(corr)))
     scale = 1.0 + la.norm(tau_full) + la.norm(tau_bar) + la.norm(corr)
     if defect > 10.0 * tol.threshold(scale):
         raise CrossCheckError(
@@ -390,7 +382,7 @@ def check_composition(outer: LieAlgebraMap, inner: LieAlgebraMap,
     full = compose(outer, inner, tol)
     lhs = tension(full, tol)
     rhs = tension(outer, tol) + outer.apply(tension(inner, tol))
-    defect = la.norm(_float(lhs) - _float(rhs))
+    defect = la.norm(la.to_float(lhs) - la.to_float(rhs))
     scale = 1.0 + la.norm(lhs) + la.norm(rhs)
     if defect > 10.0 * tol.threshold(scale):
         raise CrossCheckError(
@@ -422,13 +414,13 @@ def kahler_defects(ks: KahlerStructure) -> Dict[str, float]:
     invariance <Ju, Jv> = <u, v>, and parallelism A_u(Jv) = J(A_u v)."""
     base, j = ks.base, ks.operator
     n = base.dim
-    complex_defect = la.norm(_float(j @ j) + np.eye(n))
-    metric_defect = la.norm(_float(j.T @ base.gram @ j) - _float(base.gram))
+    complex_defect = la.norm(la.to_float(j @ j) + np.eye(n))
+    metric_defect = la.norm(la.to_float(j.T @ base.gram @ j) - la.to_float(base.gram))
     lc = base.levi_civita()
     parallel = 0.0
     for i in range(n):
         a = lc.operator(base.basis(i))
-        parallel = max(parallel, la.norm(_float(a @ j) - _float(j @ a)))
+        parallel = max(parallel, la.norm(la.to_float(a @ j) - la.to_float(j @ a)))
     return {
         "complex_defect": float(complex_defect),
         "metric_defect": float(metric_defect),
@@ -451,7 +443,7 @@ def check_kahler(ks: KahlerStructure, tol: Tolerance = DEFAULT_TOL) -> bool:
 def holomorphic_defect(m: LieAlgebraMap, j_source: np.ndarray,
                        j_target: np.ndarray) -> float:
     """|| xi J_source - J_target xi ||."""
-    return la.norm(_float(m.matrix @ j_source) - _float(j_target @ m.matrix))
+    return la.norm(la.to_float(m.matrix @ j_source) - la.to_float(j_target @ m.matrix))
 
 
 def is_holomorphic(m: LieAlgebraMap, j_source: np.ndarray, j_target: np.ndarray,
@@ -479,7 +471,7 @@ def submersion_defects(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> Dict[s
         raise MapError("criteria apply to Riemannian submersions only")
     tgt = m.target
     tau = tension(m, tol)
-    killing = la.norm(_float(tgt.ad(tau)) + _float(tgt.ad_star(tau)))
+    killing = la.norm(la.to_float(tgt.ad(tau)) + la.to_float(tgt.ad_star(tau)))
     lc = tgt.levi_civita()
     parallel = 0.0
     for k in range(tgt.dim):

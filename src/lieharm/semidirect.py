@@ -55,10 +55,6 @@ class InfeasibleSearch(ConstructionError):
     """No admissible action was found within the sampling budget."""
 
 
-def _float(v) -> np.ndarray:
-    return np.asarray(v, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # construction data
 # ---------------------------------------------------------------------------
@@ -95,7 +91,7 @@ class SemidirectData:
             raise ConstructionError(f"action tensor must be {dh} x {dn} x {dn}")
         if self.omega.shape != (dh, dh, dn):
             raise ConstructionError(f"twist tensor must be {dh} x {dh} x {dn}")
-        skew = la.norm(_float(self.omega) + _float(self.omega).transpose(1, 0, 2))
+        skew = la.norm(la.to_float(self.omega) + la.to_float(self.omega).transpose(1, 0, 2))
         if skew > self.tol.threshold(1.0 + la.norm(self.omega)):
             raise ConstructionError(f"twist is not antisymmetric (defect {skew:.3e})")
         for k in range(dh):
@@ -136,18 +132,16 @@ class SemidirectData:
 
 def derivation_defect(ela: EuclideanLieAlgebra, op) -> float:
     """max || D[u,v] - [Du,v] - [u,Dv] || over basis pairs."""
-    worst = 0.0
-    for i in range(ela.dim):
-        ei = ela.basis(i)
-        for j in range(i + 1, ela.dim):
-            ej = ela.basis(j)
-            d = (
-                op @ ela.bracket(ei, ej)
-                - ela.bracket(op @ ei, ej)
-                - ela.bracket(ei, op @ ej)
-            )
-            worst = max(worst, la.norm(d))
-    return worst
+    n = ela.dim
+    if n < 2:
+        return 0.0
+    c = ela.alg.c
+    op_t = np.asarray(op).T
+    d = (c @ op_t                                            # D[e_i, e_j]
+         - (op_t @ c.reshape(n, n * n)).reshape(n, n, n)    # [D e_i, e_j]
+         - op_t @ c)                                         # [e_i, D e_j]
+    ii, jj = la.strict_pairs(n)
+    return la.max_row_norm(d[ii, jj])
 
 
 @dataclass(frozen=True)
@@ -170,27 +164,25 @@ def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> Conditi
     """
     dn, dh = sd.dim_kernel, sd.dim_base
     ker = sd.kernel
+    rho, omega, ch = sd.rho, sd.omega, sd.base.c
 
-    action_defect = 0.0
-    for i in range(dh):
-        hi = sd.base.basis(i)
-        for j in range(i + 1, dh):
-            hj = sd.base.basis(j)
-            lhs = sd.rho_of(sd.base.bracket(hi, hj))
-            comm = sd.rho[i] @ sd.rho[j] - sd.rho[j] @ sd.rho[i]
-            rhs = comm - ker.ad(sd.omega[i, j])
-            action_defect = max(action_defect, la.norm(_float(lhs) - _float(rhs)))
+    # rho([h_i, h_j]) against [rho_i, rho_j] - ad_{omega(h_i, h_j)}, all pairs at once
+    ii, jj = la.strict_pairs(dh)
+    lhs = ch[ii, jj] @ rho.reshape(dh, dn * dn)
+    rho_i, rho_j = rho[ii], rho[jj]
+    ad_omega = omega[ii, jj] @ ker.alg.c.reshape(dn, dn * dn)       # [p, (x, k)]
+    rhs = rho_i @ rho_j - rho_j @ rho_i - ad_omega.reshape(-1, dn, dn).transpose(0, 2, 1)
+    action_defect = la.max_row_norm(
+        la.to_float(lhs) - la.to_float(rhs.reshape(-1, dn * dn)))
 
     cocycle_defect = 0.0
-    for i in range(dh):
-        for j in range(i + 1, dh):
-            for k in range(j + 1, dh):
-                total = la.zeros(dn, sd.exact)
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    ha, hb, hc = sd.base.basis(a), sd.base.basis(b), sd.base.basis(c)
-                    total = total + sd.rho[a] @ sd.omega[b, c]
-                    total = total - sd.omega_of(sd.base.bracket(ha, hb), hc)
-                cocycle_defect = max(cocycle_defect, la.norm(total))
+    if dh >= 3:
+        # S[a,b,c] = rho_a omega(h_b, h_c) - omega([h_a, h_b], h_c); cyclic sums over i < j < k
+        s = ((omega.reshape(dh * dh, dn) @ rho.reshape(dh * dn, dn).T)
+             .reshape(dh, dh, dh, dn).transpose(2, 0, 1, 3)
+             - (ch.reshape(dh * dh, dh) @ omega.reshape(dh, dh * dn)).reshape(dh, dh, dh, dn))
+        ii, jj, kk = la.strict_triples(dh)
+        cocycle_defect = la.max_row_norm(s[ii, jj, kk] + s[jj, kk, ii] + s[kk, ii, jj])
 
     nrho, nom = la.norm(sd.rho), la.norm(sd.omega)
     scale1 = 1.0 + la.norm(sd.base.c) * nrho + nrho ** 2 + la.norm(ker.alg.c) * nom
@@ -202,10 +194,7 @@ def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> Conditi
 
 def action_trace_vector(sd: SemidirectData) -> np.ndarray:
     """The base vector H with <H, u>_1 = tr(rho(u)) (domain metric dual)."""
-    traces = la.zeros(sd.dim_base, sd.exact)
-    for k in range(sd.dim_base):
-        traces[k] = np.trace(sd.rho[k])
-    return la.inv(sd.inner_domain.gram) @ traces
+    return la.inv(sd.inner_domain.gram) @ np.trace(sd.rho, axis1=1, axis2=2)
 
 
 def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
@@ -260,7 +249,7 @@ def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
     tau_proj = tension(proj, tol)
     idm = LieAlgebraMap.identity(sd.base_domain(), sd.base_target())
     expected = tension(idm, tol) - action_trace_vector(sd)
-    defect = la.norm(_float(tau_proj) - _float(expected))
+    defect = la.norm(la.to_float(tau_proj) - la.to_float(expected))
     scale = 1.0 + la.norm(tau_proj) + la.norm(expected)
     if defect > 10.0 * tol.threshold(scale):
         raise CrossCheckError(
@@ -297,7 +286,7 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
         om0 = omega0
         if om0.shape != (dh, dh, dn):
             raise ConstructionError(f"central twist must be {dh} x {dh} x {dn}")
-        skew = la.norm(_float(om0) + _float(om0).transpose(1, 0, 2))
+        skew = la.norm(la.to_float(om0) + la.to_float(om0).transpose(1, 0, 2))
         if skew > tol.threshold(1.0 + la.norm(om0)):
             raise ConstructionError("central twist is not antisymmetric")
         scale_c = 1.0 + la.norm(kernel.alg.c) * la.norm(om0)
@@ -350,9 +339,7 @@ def tangent_semidirect(base_ela: EuclideanLieAlgebra) -> SemidirectData:
         LieAlgebra(la.zeros((dh, dh, dh), exact), name="abelian-copy"),
         InnerProduct(base_ela.gram.copy()),
     )
-    rho = la.zeros((dh, dh, dh), exact)
-    for k in range(dh):
-        rho[k] = base_ela.ad(base_ela.basis(k))
+    rho = base_ela.alg.c.transpose(0, 2, 1).copy()     # rho[k] = ad_{e_k}
     omega = la.zeros((dh, dh, dh), exact)
     return SemidirectData(
         kernel=kernel,
@@ -388,9 +375,7 @@ def _require_float(*elas):
 
 def _kernel_trace_covector(kernel: EuclideanLieAlgebra) -> np.ndarray:
     """t with t_i = tr(ad_{b_i}) on the kernel (the trace of inner actions)."""
-    return np.array(
-        [float(np.trace(_float(kernel.ad(kernel.basis(i))))) for i in range(kernel.dim)]
-    )
+    return la.to_float(kernel.alg.ad_traces())
 
 
 def tension_coordinate_system(base_domain: EuclideanLieAlgebra,
@@ -407,22 +392,17 @@ def tension_coordinate_system(base_domain: EuclideanLieAlgebra,
     computation.
     """
     if base_domain.alg is not base_target.alg:
-        diff = la.norm(_float(base_domain.alg.c) - _float(base_target.alg.c))
+        diff = la.norm(la.to_float(base_domain.alg.c) - la.to_float(base_target.alg.c))
         if diff > tol.threshold(1.0 + la.norm(base_domain.alg.c)):
             raise ConstructionError("both sides must share the structure constants")
-    n = base_domain.dim
     g2 = base_target.gram
     # <B_u v, w>_2 via the Koszul polarization of the target metric
-    lc2 = base_target.levi_civita()
     u1 = base_domain.unimodular_vector(tol)
-    conn = base_domain.metric_trace(lambda u, v: lc2.product(u, v))
-    b = la.zeros(n, base_domain.exact)
-    for k in range(n):
-        ek = base_domain.basis(k)
-        b[k] = base_target.pair(conn, ek) - base_target.pair(u1, ek)
+    conn = base_target.levi_civita().frame_sum(base_domain.gram_inv)
+    b = conn @ g2 - u1 @ g2
     x = la.solve_linear(g2, b, tol)
     direct = tension(LieAlgebraMap.identity(base_domain, base_target), tol)
-    diff = la.norm(_float(x) - _float(direct))
+    diff = la.norm(la.to_float(x) - la.to_float(direct))
     if diff > 10.0 * tol.threshold(1.0 + la.norm(direct)):
         raise CrossCheckError(
             f"tension coordinate system disagrees with the direct tension "
@@ -457,7 +437,7 @@ def build_harmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
     tgt = EuclideanLieAlgebra(base, inner_target)
     _require_float(dom, tgt, kernel)
     _, _, tau_id = tension_coordinate_system(dom, tgt, tol)
-    rhs = _float(inner_domain.gram) @ _float(tau_id)   # <h_k, tau(Id)>_1
+    rhs = la.to_float(inner_domain.gram) @ la.to_float(tau_id)   # <h_k, tau(Id)>_1
     tvec = _kernel_trace_covector(kernel)
     tnorm2 = float(tvec @ tvec)
     if tnorm2 <= tol.threshold(1.0) ** 2:
@@ -580,14 +560,14 @@ def build_riemannian_biharmonic(base: LieAlgebra, inner: InnerProduct,
         lc = dom.levi_civita()
         for i in range(dh):
             for j in range(dh):
-                a = _float(lc.product(dom.basis(i), dom.basis(j)))
+                a = la.to_float(lc.product(dom.basis(i), dom.basis(j)))
                 row = np.zeros((dn, dh))
                 for k in range(dh):
                     row[:, k] = tvec * a[k]
                 rows.append(row.reshape(-1))
         for i in range(dh):
             for j in range(i + 1, dh):
-                br = _float(base.bracket(base.basis(i), base.basis(j)))
+                br = la.to_float(base.bracket(base.basis(i), base.basis(j)))
                 for r in range(dn):
                     row = np.zeros((dn, dh))
                     row[r, :] = br
@@ -597,9 +577,8 @@ def build_riemannian_biharmonic(base: LieAlgebra, inner: InnerProduct,
             raise ConstructionError("variant needs a unimodular base")
         for i in range(dh):
             for j in range(i, dh):
-                vec = _float(dom.ad_star(dom.basis(i))) @ _float(dom.basis(j)) + _float(
-                    dom.ad_star(dom.basis(j))
-                ) @ _float(dom.basis(i))
+                vec = (la.to_float(dom.ad_star(dom.basis(i))) @ la.to_float(dom.basis(j))
+                       + la.to_float(dom.ad_star(dom.basis(j))) @ la.to_float(dom.basis(i)))
                 row = np.zeros((dn, dh))
                 for k in range(dh):
                     row[:, k] = tvec * vec[k]
@@ -677,7 +656,7 @@ def build_flat_target_submersion(base_flat: EuclideanLieAlgebra,
     if not unimodular:
         for i in range(dh):
             for j in range(i + 1, dh):
-                br = _float(base_flat.bracket(base_flat.basis(i), base_flat.basis(j)))
+                br = la.to_float(base_flat.bracket(base_flat.basis(i), base_flat.basis(j)))
                 for r in range(dn):
                     row = np.zeros((dn, dh))
                     row[r, :] = br
