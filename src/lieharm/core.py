@@ -108,10 +108,9 @@ class LieAlgebra:
             raise StructureError(f"structure tensor not antisymmetric (defect {skew_defect:.3e})")
         dim = arr.shape[0]
         fixed = la.zeros((dim, dim, dim), exact)
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                fixed[i, j, :] = arr[i, j, :]
-                fixed[j, i, :] = -arr[i, j, :]
+        ii, jj = la.strict_pairs(dim)
+        fixed[ii, jj] = arr[ii, jj]
+        fixed[jj, ii] = -arr[ii, jj]
         alg = LieAlgebra(fixed, name)
         if validate and not check_jacobi(alg, tol):
             raise StructureError(f"structure constants of {name or 'algebra'} violate Jacobi")
@@ -327,6 +326,17 @@ class EuclideanLieAlgebra:
         au = lc.operator(u)
         av = lc.operator(v)
         return au @ av - av @ au - lc.operator(self.bracket(u, v))
+
+    def max_curvature_norm(self) -> float:
+        """max ||K(e_i, e_j)|| over basis pairs i < j, with every K formed
+        at once from the Levi-Civita table (0.0 below dimension 2)."""
+        n = self.dim
+        ops = self.levi_civita().table.transpose(0, 2, 1)     # ops[i] = A_{e_i}
+        ii, jj = la.strict_pairs(n)
+        a_i, a_j = ops[ii], ops[jj]
+        p = len(ii)
+        a_br = (self.alg.c[ii, jj] @ ops.reshape(n, n * n)).reshape(p, n, n)   # A_{[e_i, e_j]}
+        return la.max_row_norm((a_i @ a_j - a_j @ a_i - a_br).reshape(p, n * n))
 
     def curvature_trace(self, u, weights) -> np.ndarray:
         """sum_ab weights[a,b] K(u, e_a) e_b, for a vector u or for each row

@@ -214,27 +214,13 @@ def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
     dn, dh = sd.dim_kernel, sd.dim_base
     dim = dn + dh
     exact = sd.exact
-    brackets = {}
-    cn, ch = sd.kernel.alg.c, sd.base.c
-    for i in range(dn):
-        for j in range(i + 1, dn):
-            vec = la.zeros(dim, exact)
-            vec[:dn] = cn[i, j, :]
-            brackets[(i, j)] = vec
-    for i in range(dh):
-        for j in range(dn):
-            # [kernel_j, base_i] = -rho(h_i) kernel_j
-            vec = la.zeros(dim, exact)
-            vec[:dn] = -sd.rho[i][:, j]
-            brackets[(j, dn + i)] = vec
-    for i in range(dh):
-        for j in range(i + 1, dh):
-            vec = la.zeros(dim, exact)
-            vec[:dn] = sd.omega[i, j]
-            vec[dn:] = ch[i, j, :]
-            brackets[(dn + i, dn + j)] = vec
-    total_alg = LieAlgebra.from_brackets(dim, brackets, name="total",
-                                         exact=exact, tol=tol.scaled(10.0))
+    c = la.zeros((dim, dim, dim), exact)
+    c[:dn, :dn, :dn] = sd.kernel.alg.c
+    c[dn:, :dn, :dn] = sd.rho.transpose(0, 2, 1)      # [h_i, n_j] = rho(h_i) n_j
+    c[:dn, dn:, :dn] = -sd.rho.transpose(2, 0, 1)     # [n_j, h_i] = -rho(h_i) n_j
+    c[dn:, dn:, :dn] = sd.omega
+    c[dn:, dn:, dn:] = sd.base.c
+    total_alg = LieAlgebra.from_tensor(c, name="total", exact=exact, tol=tol.scaled(10.0))
     gram = la.zeros((dim, dim), exact)
     gram[:dn, :dn] = sd.kernel.gram
     gram[dn:, dn:] = sd.inner_domain.gram
@@ -280,6 +266,7 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
     f = la.as_matrix(f_matrix, kernel.exact) if not isinstance(f_matrix, np.ndarray) else f_matrix
     if f.shape != (dn, dh):
         raise ConstructionError(f"embedding matrix must be {dn} x {dh}")
+    ii, jj = la.strict_pairs(dh)
     if omega0 is None:
         om0 = la.zeros((dh, dh, dn), kernel.exact)
     else:
@@ -290,36 +277,29 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
         if skew > tol.threshold(1.0 + la.norm(om0)):
             raise ConstructionError("central twist is not antisymmetric")
         scale_c = 1.0 + la.norm(kernel.alg.c) * la.norm(om0)
-        for i in range(dh):
-            for j in range(i + 1, dh):
-                if la.norm(kernel.ad(om0[i, j])) > tol.threshold(scale_c):
-                    raise ConstructionError(
-                        f"central twist value at base pair ({i},{j}) is not "
-                        f"in the kernel's center"
-                    )
+        ad_om0 = la.to_float(om0[ii, jj] @ kernel.alg.c.reshape(dn, dn * dn))   # ad_{omega0_ij}
+        off = np.flatnonzero(np.linalg.norm(ad_om0, axis=1) > tol.threshold(scale_c))
+        if off.size:
+            raise ConstructionError(
+                f"central twist value at base pair ({ii[off[0]]},{jj[off[0]]}) is not "
+                f"in the kernel's center"
+            )
         scale_d = 1.0 + la.norm(base.c) * la.norm(om0)
-        for i in range(dh):
-            for j in range(i + 1, dh):
-                for k in range(j + 1, dh):
-                    total = la.zeros(dn, kernel.exact)
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        br = base.bracket(base.basis(a), base.basis(b))
-                        total = total + np.einsum("i,j,ijk->k", br, base.basis(c), om0)
-                    if la.norm(total) > tol.threshold(scale_d):
-                        raise ConstructionError(
-                            "central twist is not closed under the cyclic sum"
-                        )
+        # T[a,b,c] = omega0([h_a, h_b], h_c); cyclic sums over a < b < c
+        t = (base.c.reshape(dh * dh, dh) @ om0.reshape(dh, dh * dn)).reshape(dh, dh, dh, dn)
+        a, b, c = la.strict_triples(dh)
+        if la.max_row_norm(t[a, b, c] + t[b, c, a] + t[c, a, b]) > tol.threshold(scale_d):
+            raise ConstructionError(
+                "central twist is not closed under the cyclic sum"
+            )
 
-    rho = la.zeros((dh, dn, dn), kernel.exact)
-    for k in range(dh):
-        rho[k] = kernel.ad(f[:, k])
+    x = (f.T @ kernel.alg.c.reshape(dn, dn * dn)).reshape(dh, dn, dn)   # [k, b, :] = [F h_k, e_b]
+    rho = np.ascontiguousarray(x.transpose(0, 2, 1))                  # rho[k] = ad_{F h_k}
+    # [F h_i, F h_j] - F([h_i, h_j]) + omega0(h_i, h_j) for i < j
+    val = (f.T @ x)[ii, jj] - base.c[ii, jj] @ f.T + om0[ii, jj]
     omega = la.zeros((dh, dh, dn), kernel.exact)
-    for i in range(dh):
-        for j in range(i + 1, dh):
-            br = base.bracket(base.basis(i), base.basis(j))
-            val = kernel.bracket(f[:, i], f[:, j]) - f @ br + om0[i, j]
-            omega[i, j] = val
-            omega[j, i] = -val
+    omega[ii, jj] = val
+    omega[jj, ii] = -val
     sd = SemidirectData(kernel=kernel, base=base, inner_domain=inner_domain,
                         inner_target=inner_target, rho=rho, omega=omega, tol=tol)
     if not check_condition(sd, tol):
@@ -418,6 +398,54 @@ def _certify(sd: SemidirectData, tol: Tolerance) -> ConstructionResult:
                               classification=cls)
 
 
+def _trace_rows(tvec: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rows of ``t . F v = tr(ad_{F v}) = 0`` on the flattened embedding F,
+    one per row v of ``values``."""
+    return np.einsum("r,mk->mrk", tvec, values).reshape(len(values), -1)
+
+
+def _derived_rows(base: LieAlgebra, dn: int) -> np.ndarray:
+    """Rows of ``F([h_i, h_j]) = 0`` for i < j, one per kernel coordinate."""
+    ii, jj = la.strict_pairs(base.dim)
+    rows = np.einsum("rs,pk->prsk", np.eye(dn), la.to_float(base.c[ii, jj]))
+    return rows.reshape(-1, dn * base.dim)
+
+
+def _traceless_space(tvec: np.ndarray, dh: int, tol: Tolerance) -> np.ndarray:
+    """Flattened embeddings F with ``t . F = 0`` (all of them when t vanishes)."""
+    traced = float(tvec @ tvec) > tol.threshold(1.0) ** 2
+    hom_basis = la.nullspace(tvec.reshape(1, -1), tol) if traced else np.eye(len(tvec))
+    return np.kron(hom_basis, np.eye(dh))
+
+
+def _search(kernel: EuclideanLieAlgebra, base: LieAlgebra, inner_domain: InnerProduct,
+            inner_target: InnerProduct, f0: np.ndarray, f_space: np.ndarray, *, flag: str,
+            first_scale: Optional[float], budget: int, seed: int, tol: Tolerance,
+            twist_free: bool = False) -> ConstructionResult:
+    """Certify inner actions of the flattened embeddings ``F = f0 + f_space @ x``,
+    x normal (times ``first_scale`` on the first trial; ``None`` there means
+    F = f0 without a draw), and return the first projection carrying ``flag``.
+    With ``twist_free``, samples whose twist does not vanish are rejected."""
+    rng = np.random.default_rng(seed)
+    last_error: Optional[Exception] = None
+    for trial in range(max(1, budget)):
+        scale = first_scale if trial == 0 else 1.0
+        f = f0 if scale is None else f0 + f_space @ (rng.normal(size=f_space.shape[1]) * scale)
+        f = f.reshape(kernel.dim, base.dim)
+        try:
+            sd = inner_action_data(kernel, base, inner_domain, inner_target, f, tol=tol)
+            if twist_free and la.norm(sd.omega) > tol.threshold(1.0 + la.norm(f) ** 2):
+                raise ConstructionError("sampled embedding produced a twist")
+            result = _certify(sd, tol)
+        except (ConstructionError, CrossCheckError) as exc:
+            last_error = exc
+            continue
+        if result.classification.flags[flag]:
+            return result
+    raise InfeasibleSearch(f"no {flag} action found within {budget} samples"
+                           + (f" (last failure: {last_error})" if last_error else ""))
+
+
 def build_harmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
                               inner_target: InnerProduct,
                               kernel: EuclideanLieAlgebra,
@@ -440,37 +468,16 @@ def build_harmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
     rhs = la.to_float(inner_domain.gram) @ la.to_float(tau_id)   # <h_k, tau(Id)>_1
     tvec = _kernel_trace_covector(kernel)
     tnorm2 = float(tvec @ tvec)
-    if tnorm2 <= tol.threshold(1.0) ** 2:
-        if la.norm(rhs) > tol.threshold(1.0 + la.norm(tau_id)):
-            raise InfeasibleSearch(
-                "every inner derivation of the kernel is traceless but the "
-                "identity tension is nonzero; no inner action can match it"
-            )
-        f0 = np.zeros((kernel.dim, base.dim))
-        hom_basis = np.eye(kernel.dim)
-    else:
-        f0 = np.outer(tvec / tnorm2, rhs)
-        hom_basis = la.nullspace(tvec.reshape(1, -1), tol)
-    rng = np.random.default_rng(seed)
-    last_error: Optional[Exception] = None
-    for trial in range(max(1, budget)):
-        extra = 0.0
-        if trial > 0 and hom_basis.shape[1] > 0:
-            coeffs = rng.normal(size=(hom_basis.shape[1], base.dim))
-            extra = hom_basis @ coeffs
-        f = f0 + extra
-        try:
-            sd = inner_action_data(kernel, base, inner_domain, inner_target, f, tol=tol)
-            result = _certify(sd, tol)
-        except (ConstructionError, CrossCheckError) as exc:
-            last_error = exc
-            continue
-        if result.classification.flags["harmonic"]:
-            return result
-    raise InfeasibleSearch(
-        f"no harmonic action found within {budget} samples"
-        + (f" (last failure: {last_error})" if last_error else "")
-    )
+    traced = tnorm2 > tol.threshold(1.0) ** 2
+    if not traced and la.norm(rhs) > tol.threshold(1.0 + la.norm(tau_id)):
+        raise InfeasibleSearch(
+            "every inner derivation of the kernel is traceless but the "
+            "identity tension is nonzero; no inner action can match it"
+        )
+    f0 = np.outer(tvec / tnorm2, rhs).reshape(-1) if traced else np.zeros(kernel.dim * base.dim)
+    return _search(kernel, base, inner_domain, inner_target, f0,
+                   _traceless_space(tvec, base.dim, tol), flag="harmonic", first_scale=None,
+                   budget=budget, seed=seed, tol=tol)
 
 
 def build_biharmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
@@ -492,31 +499,9 @@ def build_biharmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
             "identity map between the base metrics is not biharmonic; the "
             "traceless-action method does not apply"
         )
-    tvec = _kernel_trace_covector(kernel)
-    if float(tvec @ tvec) <= tol.threshold(1.0) ** 2:
-        hom_basis = np.eye(kernel.dim)
-    else:
-        hom_basis = la.nullspace(tvec.reshape(1, -1), tol)
-    rng = np.random.default_rng(seed)
-    last_error: Optional[Exception] = None
-    for trial in range(max(1, budget)):
-        if hom_basis.shape[1] == 0:
-            f = np.zeros((kernel.dim, base.dim))
-        else:
-            coeffs = rng.normal(size=(hom_basis.shape[1], base.dim)) * (trial > 0)
-            f = hom_basis @ coeffs
-        try:
-            sd = inner_action_data(kernel, base, inner_domain, inner_target, f, tol=tol)
-            result = _certify(sd, tol)
-        except (ConstructionError, CrossCheckError) as exc:
-            last_error = exc
-            continue
-        if result.classification.flags["biharmonic"]:
-            return result
-    raise InfeasibleSearch(
-        f"no biharmonic action found within {budget} samples"
-        + (f" (last failure: {last_error})" if last_error else "")
-    )
+    return _search(kernel, base, inner_domain, inner_target, np.zeros(kernel.dim * base.dim),
+                   _traceless_space(_kernel_trace_covector(kernel), base.dim, tol),
+                   flag="biharmonic", first_scale=0.0, budget=budget, seed=seed, tol=tol)
 
 
 _RIEMANNIAN_VARIANTS = ("parallel_trace", "unimodular_kernel", "killing_trace")
@@ -529,9 +514,8 @@ def build_riemannian_biharmonic(base: LieAlgebra, inner: InnerProduct,
     """Riemannian case (equal base metrics): three sufficient conditions.
 
     * ``parallel_trace``: the trace form of the action kills every
-      Levi-Civita product value (and the twist vanishes: the embedding is
-      constrained to have commuting image and to kill derived base
-      vectors).
+      Levi-Civita product value, and the embedding is twist-free and kills
+      derived base vectors (samples with a nonzero twist are rejected).
     * ``unimodular_kernel``: the kernel is unimodular (checked), so every
       inner action is traceless.
     * ``killing_trace``: the base is unimodular (checked) and the trace
@@ -550,79 +534,22 @@ def build_riemannian_biharmonic(base: LieAlgebra, inner: InnerProduct,
     _require_float(dom, kernel)
     dh, dn = base.dim, kernel.dim
     tvec = _kernel_trace_covector(kernel)
-    rng = np.random.default_rng(seed)
-
-    rows = []
     if variant == "unimodular_kernel":
         if not kernel.is_unimodular(tol):
             raise ConstructionError("variant needs a unimodular kernel")
+        rows = np.zeros((0, dn * dh))
     elif variant == "parallel_trace":
-        lc = dom.levi_civita()
-        for i in range(dh):
-            for j in range(dh):
-                a = la.to_float(lc.product(dom.basis(i), dom.basis(j)))
-                row = np.zeros((dn, dh))
-                for k in range(dh):
-                    row[:, k] = tvec * a[k]
-                rows.append(row.reshape(-1))
-        for i in range(dh):
-            for j in range(i + 1, dh):
-                br = la.to_float(base.bracket(base.basis(i), base.basis(j)))
-                for r in range(dn):
-                    row = np.zeros((dn, dh))
-                    row[r, :] = br
-                    rows.append(row.reshape(-1))
+        products = la.to_float(dom.levi_civita().table).reshape(dh * dh, dh)   # A_{e_i} e_j
+        rows = np.concatenate([_trace_rows(tvec, products), _derived_rows(base, dn)])
     else:  # killing_trace
         if not dom.is_unimodular(tol):
             raise ConstructionError("variant needs a unimodular base")
-        for i in range(dh):
-            for j in range(i, dh):
-                vec = (la.to_float(dom.ad_star(dom.basis(i))) @ la.to_float(dom.basis(j))
-                       + la.to_float(dom.ad_star(dom.basis(j))) @ la.to_float(dom.basis(i)))
-                row = np.zeros((dn, dh))
-                for k in range(dh):
-                    row[:, k] = tvec * vec[k]
-                rows.append(row.reshape(-1))
-
-    if rows:
-        constraint = np.stack(rows, axis=0)
-        f_space = la.nullspace(constraint, tol)
-    else:
-        f_space = np.eye(dn * dh)
-
-    last_error: Optional[Exception] = None
-    for trial in range(max(1, budget)):
-        if f_space.shape[1] == 0:
-            f = np.zeros((dn, dh))
-        else:
-            coeffs = rng.normal(size=f_space.shape[1]) * (1.0 if trial > 0 else 0.5)
-            f = (f_space @ coeffs).reshape(dn, dh)
-        if variant == "parallel_trace":
-            commuting = all(
-                la.norm(kernel.bracket(f[:, i], f[:, j])) <= tol.threshold(1.0 + la.norm(f) ** 2)
-                for i in range(dh)
-                for j in range(i + 1, dh)
-            )
-            if not commuting:
-                last_error = ConstructionError("sampled embedding has non-commuting image")
-                continue
-        try:
-            sd = inner_action_data(kernel, base, inner, inner, f, tol=tol)
-            if variant == "parallel_trace" and la.norm(sd.omega) > tol.threshold(
-                1.0 + la.norm(f) ** 2
-            ):
-                last_error = ConstructionError("sampled embedding produced a twist")
-                continue
-            result = _certify(sd, tol)
-        except (ConstructionError, CrossCheckError) as exc:
-            last_error = exc
-            continue
-        if result.classification.flags["biharmonic"]:
-            return result
-    raise InfeasibleSearch(
-        f"no biharmonic action found within {budget} samples"
-        + (f" (last failure: {last_error})" if last_error else "")
-    )
+        s = np.stack([la.to_float(dom.ad_star(dom.basis(i))) for i in range(dh)])
+        ii, jj = np.triu_indices(dh)
+        rows = _trace_rows(tvec, s[ii, :, jj] + s[jj, :, ii])   # ad*_{e_i} e_j + ad*_{e_j} e_i
+    return _search(kernel, base, inner, inner, np.zeros(dn * dh), la.nullspace(rows, tol),
+                   flag="biharmonic", first_scale=0.5, budget=budget, seed=seed, tol=tol,
+                   twist_free=variant == "parallel_trace")
 
 
 def build_flat_target_submersion(base_flat: EuclideanLieAlgebra,
@@ -637,61 +564,13 @@ def build_flat_target_submersion(base_flat: EuclideanLieAlgebra,
     the harmonic and biharmonic flags from independent certification.
     """
     _require_float(base_flat, kernel)
-    worst = 0.0
-    for i in range(base_flat.dim):
-        for j in range(i + 1, base_flat.dim):
-            worst = max(
-                worst,
-                la.norm(base_flat.curvature(base_flat.basis(i), base_flat.basis(j))),
-            )
+    worst = base_flat.max_curvature_norm()
     scale = 1.0 + la.norm(base_flat.alg.c) ** 2 * la.norm(base_flat.gram)
     if worst > tol.threshold(scale):
-        raise ConstructionError(
-            f"base metric is not flat (max curvature norm {worst:.3e})"
-        )
+        raise ConstructionError(f"base metric is not flat (max curvature norm {worst:.3e})")
     dh, dn = base_flat.dim, kernel.dim
-    rng = np.random.default_rng(seed)
     unimodular = kernel.is_unimodular(tol)
-    rows = []
-    if not unimodular:
-        for i in range(dh):
-            for j in range(i + 1, dh):
-                br = la.to_float(base_flat.bracket(base_flat.basis(i), base_flat.basis(j)))
-                for r in range(dn):
-                    row = np.zeros((dn, dh))
-                    row[r, :] = br
-                    rows.append(row.reshape(-1))
-    f_space = la.nullspace(np.stack(rows, axis=0), tol) if rows else np.eye(dn * dh)
-
-    last_error: Optional[Exception] = None
-    for trial in range(max(1, budget)):
-        if f_space.shape[1] == 0:
-            f = np.zeros((dn, dh))
-        else:
-            coeffs = rng.normal(size=f_space.shape[1]) * (1.0 if trial > 0 else 0.5)
-            f = (f_space @ coeffs).reshape(dn, dh)
-        if not unimodular:
-            commuting = all(
-                la.norm(kernel.bracket(f[:, i], f[:, j])) <= tol.threshold(1.0 + la.norm(f) ** 2)
-                for i in range(dh)
-                for j in range(i + 1, dh)
-            )
-            if not commuting:
-                last_error = ConstructionError("sampled embedding has non-commuting image")
-                continue
-        try:
-            sd = inner_action_data(kernel, base_flat.alg, base_flat.inner,
-                                   base_flat.inner, f, tol=tol)
-            if not unimodular and la.norm(sd.omega) > tol.threshold(1.0 + la.norm(f) ** 2):
-                last_error = ConstructionError("sampled embedding produced a twist")
-                continue
-            result = _certify(sd, tol)
-        except (ConstructionError, CrossCheckError) as exc:
-            last_error = exc
-            continue
-        if result.classification.flags["biharmonic"]:
-            return result
-    raise InfeasibleSearch(
-        f"no biharmonic action found within {budget} samples"
-        + (f" (last failure: {last_error})" if last_error else "")
-    )
+    rows = np.zeros((0, dn * dh)) if unimodular else _derived_rows(base_flat.alg, dn)
+    return _search(kernel, base_flat.alg, base_flat.inner, base_flat.inner,
+                   np.zeros(dn * dh), la.nullspace(rows, tol), flag="biharmonic",
+                   first_scale=0.5, budget=budget, seed=seed, tol=tol, twist_free=not unimodular)

@@ -1,5 +1,6 @@
 """Semidirect reconstructions and the (bi)harmonic submersion recipes."""
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -24,6 +25,16 @@ from lieharm import (
     tangent_semidirect,
     tension,
     tension_coordinate_system,
+)
+from lieharm import _linalg as la, semidirect
+from lieharm._linalg import DEFAULT_TOL, Tolerance
+from lieharm.core import CrossCheckError
+from lieharm.maps import LieAlgebraMap
+from lieharm.semidirect import (
+    ConstructionResult,
+    _certify,
+    _kernel_trace_covector,
+    _require_float,
 )
 
 from conftest import rand_pd, with_metric
@@ -285,3 +296,463 @@ def test_recipes_refuse_exact_mode():
             InnerProduct.identity(2, exact=True),
             get("heis3", exact=True).ela, budget=5, seed=0,
         )
+
+
+# ---------------------------------------------------------------------------
+# reference: the four recipe loops as they were written before the shared
+# ``_search`` (kept verbatim, renamed) and the bracket-dict assembly of the
+# total algebra; the library must reproduce both exactly
+# ---------------------------------------------------------------------------
+
+
+def ref_build_harmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
+                                  inner_target: InnerProduct,
+                                  kernel: EuclideanLieAlgebra,
+                                  budget: int = 50, seed: int = 0,
+                                  tol: Tolerance = DEFAULT_TOL) -> ConstructionResult:
+    """Find an inner action making the projection harmonic.
+
+    The action must satisfy ``tr(rho(h)) = <h, tau(Id)>_domain`` for every
+    base vector; with inner actions this is a linear constraint on the
+    embedding matrix, solved exactly, then randomized over its null space
+    for up to ``budget`` samples.  Infeasible when the kernel carries no
+    trace (every inner derivation traceless) but the identity tension is
+    nonzero.  The result is certified harmonic by the independent tension
+    computation.
+    """
+    dom = EuclideanLieAlgebra(base, inner_domain)
+    tgt = EuclideanLieAlgebra(base, inner_target)
+    _require_float(dom, tgt, kernel)
+    _, _, tau_id = tension_coordinate_system(dom, tgt, tol)
+    rhs = la.to_float(inner_domain.gram) @ la.to_float(tau_id)   # <h_k, tau(Id)>_1
+    tvec = _kernel_trace_covector(kernel)
+    tnorm2 = float(tvec @ tvec)
+    if tnorm2 <= tol.threshold(1.0) ** 2:
+        if la.norm(rhs) > tol.threshold(1.0 + la.norm(tau_id)):
+            raise InfeasibleSearch(
+                "every inner derivation of the kernel is traceless but the "
+                "identity tension is nonzero; no inner action can match it"
+            )
+        f0 = np.zeros((kernel.dim, base.dim))
+        hom_basis = np.eye(kernel.dim)
+    else:
+        f0 = np.outer(tvec / tnorm2, rhs)
+        hom_basis = la.nullspace(tvec.reshape(1, -1), tol)
+    rng = np.random.default_rng(seed)
+    last_error: Optional[Exception] = None
+    for trial in range(max(1, budget)):
+        extra = 0.0
+        if trial > 0 and hom_basis.shape[1] > 0:
+            coeffs = rng.normal(size=(hom_basis.shape[1], base.dim))
+            extra = hom_basis @ coeffs
+        f = f0 + extra
+        try:
+            sd = inner_action_data(kernel, base, inner_domain, inner_target, f, tol=tol)
+            result = _certify(sd, tol)
+        except (ConstructionError, CrossCheckError) as exc:
+            last_error = exc
+            continue
+        if result.classification.flags["harmonic"]:
+            return result
+    raise InfeasibleSearch(
+        f"no harmonic action found within {budget} samples"
+        + (f" (last failure: {last_error})" if last_error else "")
+    )
+
+
+def ref_build_biharmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
+                                    inner_target: InnerProduct,
+                                    kernel: EuclideanLieAlgebra,
+                                    budget: int = 50, seed: int = 0,
+                                    tol: Tolerance = DEFAULT_TOL) -> ConstructionResult:
+    """Find a traceless inner action; the projection is then biharmonic
+    exactly when the identity map between the two base metrics is, which
+    is a precondition (checked, error otherwise).  Certified by the
+    independent bitension computation.
+    """
+    dom = EuclideanLieAlgebra(base, inner_domain)
+    tgt = EuclideanLieAlgebra(base, inner_target)
+    _require_float(dom, tgt, kernel)
+    id_cls = classify(LieAlgebraMap.identity(dom, tgt), tol.scaled(10.0))
+    if not id_cls.flags["biharmonic"]:
+        raise ConstructionError(
+            "identity map between the base metrics is not biharmonic; the "
+            "traceless-action method does not apply"
+        )
+    tvec = _kernel_trace_covector(kernel)
+    if float(tvec @ tvec) <= tol.threshold(1.0) ** 2:
+        hom_basis = np.eye(kernel.dim)
+    else:
+        hom_basis = la.nullspace(tvec.reshape(1, -1), tol)
+    rng = np.random.default_rng(seed)
+    last_error: Optional[Exception] = None
+    for trial in range(max(1, budget)):
+        if hom_basis.shape[1] == 0:
+            f = np.zeros((kernel.dim, base.dim))
+        else:
+            coeffs = rng.normal(size=(hom_basis.shape[1], base.dim)) * (trial > 0)
+            f = hom_basis @ coeffs
+        try:
+            sd = inner_action_data(kernel, base, inner_domain, inner_target, f, tol=tol)
+            result = _certify(sd, tol)
+        except (ConstructionError, CrossCheckError) as exc:
+            last_error = exc
+            continue
+        if result.classification.flags["biharmonic"]:
+            return result
+    raise InfeasibleSearch(
+        f"no biharmonic action found within {budget} samples"
+        + (f" (last failure: {last_error})" if last_error else "")
+    )
+
+
+REF_RIEMANNIAN_VARIANTS = ("parallel_trace", "unimodular_kernel", "killing_trace")
+
+
+def ref_build_riemannian_biharmonic(base: LieAlgebra, inner: InnerProduct,
+                                    kernel: EuclideanLieAlgebra, variant: str,
+                                    budget: int = 50, seed: int = 0,
+                                    tol: Tolerance = DEFAULT_TOL) -> ConstructionResult:
+    """Riemannian case (equal base metrics): three sufficient conditions.
+
+    * ``parallel_trace``: the trace form of the action kills every
+      Levi-Civita product value (and the twist vanishes: the embedding is
+      constrained to have commuting image and to kill derived base
+      vectors).
+    * ``unimodular_kernel``: the kernel is unimodular (checked), so every
+      inner action is traceless.
+    * ``killing_trace``: the base is unimodular (checked) and the trace
+      form is a Killing one-form, read symmetrically as
+      ``tr(rho(ad_u^* v + ad_v^* u)) = 0`` for all u, v (the variable in
+      the second slot is taken equal to the first pairing's, making the
+      condition equivalent to the metric dual being a Killing direction).
+
+    The projection is certified biharmonic independently.
+    """
+    if variant not in REF_RIEMANNIAN_VARIANTS:
+        raise ConstructionError(
+            f"unknown variant {variant!r}; expected one of {REF_RIEMANNIAN_VARIANTS}"
+        )
+    dom = EuclideanLieAlgebra(base, inner)
+    _require_float(dom, kernel)
+    dh, dn = base.dim, kernel.dim
+    tvec = _kernel_trace_covector(kernel)
+    rng = np.random.default_rng(seed)
+
+    rows = []
+    if variant == "unimodular_kernel":
+        if not kernel.is_unimodular(tol):
+            raise ConstructionError("variant needs a unimodular kernel")
+    elif variant == "parallel_trace":
+        lc = dom.levi_civita()
+        for i in range(dh):
+            for j in range(dh):
+                a = la.to_float(lc.product(dom.basis(i), dom.basis(j)))
+                row = np.zeros((dn, dh))
+                for k in range(dh):
+                    row[:, k] = tvec * a[k]
+                rows.append(row.reshape(-1))
+        for i in range(dh):
+            for j in range(i + 1, dh):
+                br = la.to_float(base.bracket(base.basis(i), base.basis(j)))
+                for r in range(dn):
+                    row = np.zeros((dn, dh))
+                    row[r, :] = br
+                    rows.append(row.reshape(-1))
+    else:  # killing_trace
+        if not dom.is_unimodular(tol):
+            raise ConstructionError("variant needs a unimodular base")
+        for i in range(dh):
+            for j in range(i, dh):
+                vec = (la.to_float(dom.ad_star(dom.basis(i))) @ la.to_float(dom.basis(j))
+                       + la.to_float(dom.ad_star(dom.basis(j))) @ la.to_float(dom.basis(i)))
+                row = np.zeros((dn, dh))
+                for k in range(dh):
+                    row[:, k] = tvec * vec[k]
+                rows.append(row.reshape(-1))
+
+    if rows:
+        constraint = np.stack(rows, axis=0)
+        f_space = la.nullspace(constraint, tol)
+    else:
+        f_space = np.eye(dn * dh)
+
+    last_error: Optional[Exception] = None
+    for trial in range(max(1, budget)):
+        if f_space.shape[1] == 0:
+            f = np.zeros((dn, dh))
+        else:
+            coeffs = rng.normal(size=f_space.shape[1]) * (1.0 if trial > 0 else 0.5)
+            f = (f_space @ coeffs).reshape(dn, dh)
+        if variant == "parallel_trace":
+            commuting = all(
+                la.norm(kernel.bracket(f[:, i], f[:, j])) <= tol.threshold(1.0 + la.norm(f) ** 2)
+                for i in range(dh)
+                for j in range(i + 1, dh)
+            )
+            if not commuting:
+                last_error = ConstructionError("sampled embedding has non-commuting image")
+                continue
+        try:
+            sd = inner_action_data(kernel, base, inner, inner, f, tol=tol)
+            if variant == "parallel_trace" and la.norm(sd.omega) > tol.threshold(
+                1.0 + la.norm(f) ** 2
+            ):
+                last_error = ConstructionError("sampled embedding produced a twist")
+                continue
+            result = _certify(sd, tol)
+        except (ConstructionError, CrossCheckError) as exc:
+            last_error = exc
+            continue
+        if result.classification.flags["biharmonic"]:
+            return result
+    raise InfeasibleSearch(
+        f"no biharmonic action found within {budget} samples"
+        + (f" (last failure: {last_error})" if last_error else "")
+    )
+
+
+def ref_build_flat_target_submersion(base_flat: EuclideanLieAlgebra,
+                                     kernel: EuclideanLieAlgebra,
+                                     budget: int = 50, seed: int = 0,
+                                     tol: Tolerance = DEFAULT_TOL) -> ConstructionResult:
+    """Riemannian submersion onto a flat base, biharmonic by construction.
+
+    The base metric must be flat (checked; error otherwise).  When the
+    kernel is unimodular any inner action works; otherwise the embedding
+    is constrained to produce a vanishing twist.  The output reports both
+    the harmonic and biharmonic flags from independent certification.
+    """
+    _require_float(base_flat, kernel)
+    worst = 0.0
+    for i in range(base_flat.dim):
+        for j in range(i + 1, base_flat.dim):
+            worst = max(
+                worst,
+                la.norm(base_flat.curvature(base_flat.basis(i), base_flat.basis(j))),
+            )
+    scale = 1.0 + la.norm(base_flat.alg.c) ** 2 * la.norm(base_flat.gram)
+    if worst > tol.threshold(scale):
+        raise ConstructionError(
+            f"base metric is not flat (max curvature norm {worst:.3e})"
+        )
+    dh, dn = base_flat.dim, kernel.dim
+    rng = np.random.default_rng(seed)
+    unimodular = kernel.is_unimodular(tol)
+    rows = []
+    if not unimodular:
+        for i in range(dh):
+            for j in range(i + 1, dh):
+                br = la.to_float(base_flat.bracket(base_flat.basis(i), base_flat.basis(j)))
+                for r in range(dn):
+                    row = np.zeros((dn, dh))
+                    row[r, :] = br
+                    rows.append(row.reshape(-1))
+    f_space = la.nullspace(np.stack(rows, axis=0), tol) if rows else np.eye(dn * dh)
+
+    last_error: Optional[Exception] = None
+    for trial in range(max(1, budget)):
+        if f_space.shape[1] == 0:
+            f = np.zeros((dn, dh))
+        else:
+            coeffs = rng.normal(size=f_space.shape[1]) * (1.0 if trial > 0 else 0.5)
+            f = (f_space @ coeffs).reshape(dn, dh)
+        if not unimodular:
+            commuting = all(
+                la.norm(kernel.bracket(f[:, i], f[:, j])) <= tol.threshold(1.0 + la.norm(f) ** 2)
+                for i in range(dh)
+                for j in range(i + 1, dh)
+            )
+            if not commuting:
+                last_error = ConstructionError("sampled embedding has non-commuting image")
+                continue
+        try:
+            sd = inner_action_data(kernel, base_flat.alg, base_flat.inner,
+                                   base_flat.inner, f, tol=tol)
+            if not unimodular and la.norm(sd.omega) > tol.threshold(1.0 + la.norm(f) ** 2):
+                last_error = ConstructionError("sampled embedding produced a twist")
+                continue
+            result = _certify(sd, tol)
+        except (ConstructionError, CrossCheckError) as exc:
+            last_error = exc
+            continue
+        if result.classification.flags["biharmonic"]:
+            return result
+    raise InfeasibleSearch(
+        f"no biharmonic action found within {budget} samples"
+        + (f" (last failure: {last_error})" if last_error else "")
+    )
+
+
+def _dict_assembled_tensor(sd, tol=DEFAULT_TOL):
+    """The total structure tensor as a ``{(i, j): vector}`` bracket dict."""
+    dn, dh = sd.dim_kernel, sd.dim_base
+    dim = dn + dh
+    exact = sd.exact
+    brackets = {}
+    cn, ch = sd.kernel.alg.c, sd.base.c
+    for i in range(dn):
+        for j in range(i + 1, dn):
+            vec = la.zeros(dim, exact)
+            vec[:dn] = cn[i, j, :]
+            brackets[(i, j)] = vec
+    for i in range(dh):
+        for j in range(dn):
+            # [kernel_j, base_i] = -rho(h_i) kernel_j
+            vec = la.zeros(dim, exact)
+            vec[:dn] = -sd.rho[i][:, j]
+            brackets[(j, dn + i)] = vec
+    for i in range(dh):
+        for j in range(i + 1, dh):
+            vec = la.zeros(dim, exact)
+            vec[:dn] = sd.omega[i, j]
+            vec[dn:] = ch[i, j, :]
+            brackets[(dn + i, dn + j)] = vec
+    return LieAlgebra.from_brackets(dim, brackets, name="total",
+                                    exact=exact, tol=tol.scaled(10.0)).c
+
+
+def _recipe_calls(rng, seed):
+    """(recipe, arguments) pairs: the inputs of the recipe tests above plus
+    random metrics, kernels with and without trace, bases whose embeddings
+    meet the twist filter, and failing preconditions."""
+    ident2, ident3 = InnerProduct.identity(2), InnerProduct.identity(3)
+    a = rng.uniform(0.5, 2.0)
+    g2 = InnerProduct.of(rand_pd(rng, 2))
+    aff = with_metric(get("aff2solv").ela, rand_pd(rng, 3))
+    heis = with_metric(get("heis3").ela, rand_pd(rng, 3))
+    plane = get("abelian", n=2).ela
+    so3 = get("so3").ela.alg
+    return [
+        ("harmonic", (two_dim_solvable(a), ident2, g2, aff, 20, seed)),
+        ("harmonic", (two_dim_solvable(1.0), ident2,
+                      InnerProduct.of(np.array([[2.0, 0.3], [0.3, 1.0]])),
+                      get("heis3").ela, 5, seed)),
+        ("harmonic", (two_dim_solvable(1.0), ident2, ident2, heis, 5, seed)),
+        ("biharmonic", (two_dim_solvable(1.0), ident2, ident2, get("heis3").ela, 10, seed)),
+        ("biharmonic", (two_dim_solvable(a), ident2, ident2, aff, 10, seed)),
+        ("biharmonic", (two_dim_solvable(a), ident2, g2, heis, 5, seed)),
+        ("riemannian", (so3, ident3, get("heis3").ela, "unimodular_kernel", 20, seed)),
+        ("riemannian", (so3, ident3, heis, "killing_trace", 20, seed)),
+        ("riemannian", (so3, ident3, aff, "killing_trace", 20, seed)),
+        ("riemannian", (two_dim_solvable(1.0), ident2, get("e1").ela, "parallel_trace", 30, seed)),
+        ("riemannian", (two_dim_solvable(a), g2, aff, "parallel_trace", 10, seed)),
+        ("riemannian", (plane.alg, g2, heis, "parallel_trace", 3, seed)),
+        ("riemannian", (two_dim_solvable(1.0), ident2, get("e1").ela, "unimodular_kernel", 5,
+                        seed)),
+        ("flat", (get("e2flat").ela, aff, 20, seed)),
+        ("flat", (get("e2flat").ela, heis, 20, seed)),
+        ("flat", (plane, aff, 3, seed)),
+        ("flat", (get("so3").ela, get("heis3").ela, 5, seed)),
+    ]
+
+
+_RECIPES = {
+    "harmonic": (build_harmonic_submersion, ref_build_harmonic_submersion),
+    "biharmonic": (build_biharmonic_submersion, ref_build_biharmonic_submersion),
+    "riemannian": (build_riemannian_biharmonic, ref_build_riemannian_biharmonic),
+    "flat": (build_flat_target_submersion, ref_build_flat_target_submersion),
+}
+
+
+def _outcome(fn, args, monkeypatch, refused):
+    """The result of ``fn(*args)`` or the type it raised, with certification
+    refusing the first ``refused`` samples, so that later trials' samples
+    decide the outcome too."""
+    certify, seen = semidirect._certify, []
+
+    def refusing(sd, tol):
+        seen.append(sd)
+        if len(seen) <= refused:
+            raise ConstructionError("sample refused")
+        return certify(sd, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(semidirect, "_certify", refusing)
+        m.setitem(globals(), "_certify", refusing)
+        try:
+            return fn(*args)
+        except Exception as exc:
+            return type(exc)
+
+
+@pytest.mark.parametrize("recipe", sorted(_RECIPES))
+def test_search_reproduces_the_per_recipe_loops(recipe, monkeypatch):
+    """Same outcome (a result or the exception type) and the same accepted
+    action as the loops the shared search replaced."""
+    new, ref = _RECIPES[recipe]
+    results = 0
+    for seed in range(20):
+        calls = _recipe_calls(np.random.default_rng(seed), seed)
+        for name, args in calls:
+            if name != recipe:
+                continue
+            got = _outcome(new, args, monkeypatch, seed % 4)
+            want = _outcome(ref, args, monkeypatch, seed % 4)
+            if isinstance(want, type):
+                assert got is want, (args, got)
+                continue
+            assert not isinstance(got, type), (args, got)
+            ref_rho = np.asarray(want.data.rho, float)
+            np.testing.assert_allclose(np.asarray(got.data.rho, float), ref_rho,
+                                       rtol=1e-12, atol=1e-12 * np.linalg.norm(ref_rho))
+            assert got.classification.flags == want.classification.flags
+            results += 1
+    assert results > 0
+
+
+def _semidirect_samples(rng):
+    heis = with_metric(get("heis3").ela, rand_pd(rng, 3))
+    omega0 = np.zeros((2, 2, 3))
+    omega0[0, 1, 0], omega0[1, 0, 0] = 0.7, -0.7
+    data = [tangent_semidirect(with_metric(get(name).ela, rand_pd(rng, get(name).ela.dim)))
+            for name in ("e1", "heis3", "so3")]
+    data.append(inner_action_data(heis, two_dim_solvable(1.2), InnerProduct.of(rand_pd(rng, 2)),
+                                  InnerProduct.of(rand_pd(rng, 2)), rng.normal(size=(3, 2)),
+                                  omega0=omega0))
+    data.append(inner_action_data(heis, get("so3").ela.alg, InnerProduct.identity(3),
+                                  InnerProduct.identity(3), rng.normal(size=(3, 3))))
+    return data
+
+
+def test_block_assembly_matches_bracket_dict_assembly(rng):
+    for sd in _semidirect_samples(rng):
+        total, _ = build_semidirect(sd)
+        np.testing.assert_allclose(total.alg.c, _dict_assembled_tensor(sd),
+                                   rtol=1e-12, atol=1e-15)
+
+
+def test_block_assembly_matches_bracket_dict_assembly_exact():
+    f = Fraction
+    heis = get("heis3", exact=True).ela
+    base = LieAlgebra.from_brackets(2, {(0, 1): [f(3, 2), f(0)]}, exact=True)
+    ident = InnerProduct.identity(2, exact=True)
+    omega0 = la.zeros((2, 2, 3), exact=True)
+    omega0[0, 1, 0], omega0[1, 0, 0] = f(1, 3), f(-1, 3)
+    emb = la.as_matrix([[1, f(1, 2)], [f(-2, 3), 2], [0, f(5, 7)]], exact=True)
+    data = [tangent_semidirect(get("e1", a=f(2), exact=True).ela),
+            tangent_semidirect(get("heis3", exact=True).ela),
+            inner_action_data(heis, base, ident, ident, emb, omega0=omega0)]
+    for sd in data:
+        total, _ = build_semidirect(sd)
+        expected = _dict_assembled_tensor(sd)
+        assert total.alg.c.dtype == object
+        assert np.array_equal(total.alg.c, expected)
+
+
+def test_inner_action_rejects_central_twist_not_closed():
+    """On the base [h0, h1] = h1, [h0, h2] = h2 the cyclic sum of
+    alpha([u, v], w) over (h0, h1, h2) is 2 alpha(h1, h2): the center-valued
+    twist alpha = h1* ^ h2* is not closed, while h0* ^ h1* is."""
+    base = LieAlgebra.from_brackets(3, {(0, 1): [0.0, 1.0, 0.0], (0, 2): [0.0, 0.0, 1.0]})
+    kernel = get("heis3").ela                  # center spanned by e0
+    ident = InnerProduct.identity(3)
+    for (i, j), closed in (((1, 2), False), ((0, 1), True)):
+        omega0 = np.zeros((3, 3, 3))
+        omega0[i, j, 0], omega0[j, i, 0] = 1.0, -1.0
+        if closed:
+            data = inner_action_data(kernel, base, ident, ident, np.zeros((3, 3)), omega0=omega0)
+            assert check_condition(data).ok
+        else:
+            with pytest.raises(ConstructionError, match="cyclic sum"):
+                inner_action_data(kernel, base, ident, ident, np.zeros((3, 3)), omega0=omega0)
