@@ -129,90 +129,145 @@ def max_row_norm(rows) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact-mode elimination helpers
+# exact mode on integers
 # ---------------------------------------------------------------------------
+#
+# Exact arrays hold Fractions with small, mostly shared denominators.  Every
+# exact product and elimination clears an array's denominators with one
+# common multiple, works on Python ints and forms each resulting Fraction
+# once, so the values are the ones plain Fraction arithmetic gives.
 
 
-def _rref(m: np.ndarray):
-    """Reduced row echelon form over Fractions; returns (rref, pivot cols)."""
-    a = m.copy()
+def _integers(a: np.ndarray):
+    """``(ints, d)``: an object array of Python ints and a positive int with
+    ``a == ints / d`` entrywise (``d`` the lcm of the denominators)."""
+    flat = a.ravel().tolist()
+    dens = {x.denominator for x in flat}
+    d = math.lcm(*dens)
+    ints = np.empty(a.shape, dtype=object)
+    if d == 1:
+        ints.reshape(-1)[:] = [x.numerator for x in flat]
+    else:
+        factor = {q: d // q for q in dens}
+        ints.reshape(-1)[:] = [x.numerator * factor[x.denominator] for x in flat]
+    return ints, d
+
+
+def _fractions(ints, d: int):
+    """The Fractions ``ints / d`` (an array, or one scalar), each value formed once."""
+    if not isinstance(ints, np.ndarray):
+        return Fraction(ints, d)
+    flat = ints.ravel().tolist()
+    value = {v: Fraction(v, d) for v in set(flat)}
+    out = np.empty(ints.shape, dtype=object)
+    out.reshape(-1)[:] = [value[v] for v in flat]
+    return out
+
+
+def exact_matmul(*arrays):
+    """``a @ b @ ...``, left to right, for Fraction arrays of any shapes ``@``
+    accepts: the operands' integer numerators over their common denominators
+    are multiplied, and every output entry becomes one Fraction."""
+    ints, d = _integers(arrays[0])
+    for a in arrays[1:]:
+        ia, da = _integers(a)
+        ints, d = np.matmul(ints, ia), d * da
+    return _fractions(ints, d)
+
+
+def matmul(a: np.ndarray, b: np.ndarray, *more):
+    """``a @ b @ ...``, left to right, in either mode; exact operands go
+    through :func:`exact_matmul`."""
+    if is_exact(a) and is_exact(b) and all(map(is_exact, more)):
+        return exact_matmul(a, b, *more)
+    out = a @ b
+    for m in more:
+        out = out @ m
+    return out
+
+
+def contract_last(t: np.ndarray, m: np.ndarray):
+    """``sum_l t[..., l] m[l, k]``: ``np.einsum`` on floats, one
+    :func:`exact_matmul` of the flattened leading axes on Fractions."""
+    if is_exact(t) and is_exact(m):
+        lead = t.shape[:-1]
+        flat = exact_matmul(t.reshape(math.prod(lead), t.shape[-1]), m)
+        return flat.reshape(*lead, m.shape[-1])
+    return np.einsum("...l,lk->...k", t, m)
+
+
+def _echelon(m: np.ndarray):
+    """Fraction-free Gauss-Jordan elimination of a Fraction matrix (Bareiss,
+    Math. Comp. 22, 1968).
+
+    Returns ``(a, pivots, d)``: the first ``len(pivots)`` rows of the integer
+    array ``a`` are ``d`` times the reduced row echelon form of ``m``, the
+    rest are zero.  Each step leaves minors of the cleared matrix in ``a``,
+    so the division by the previous pivot is exact.
+    """
+    a, _ = _integers(m)
     rows, cols = a.shape
     pivots = []
-    r = 0
+    prev = 1
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+        r = len(pivots)
+        nonzero = np.flatnonzero(a[r:, c] != 0)
+        if not len(nonzero):
             continue
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] / a[r, c]
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = a[i] - a[i, c] * a[r]
+        if nonzero[0]:
+            a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+        p, row = a[r, c], a[r].copy()
+        a = (p * a - np.outer(a[:, c], row)) // prev
+        a[r] = row
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+        prev = p
+    return a, pivots, prev
 
 
 def exact_nullspace(m: np.ndarray) -> np.ndarray:
     """Exact basis (columns) of the kernel of a Fraction matrix."""
-    rows, cols = m.shape
-    red, pivots = _rref(m)
+    cols = m.shape[1]
+    a, pivots, d = _echelon(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros((cols, len(free)), exact=True)
-    for k, fc in enumerate(free):
-        basis[fc, k] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = -red[r, fc]
+    basis[free, range(len(free))] = Fraction(1)
+    basis[pivots] = _fractions(-a[: len(pivots), free], d)
     return basis
 
 
 def exact_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact particular solution of m x = b; raises if inconsistent."""
-    rows, cols = m.shape
-    aug = zeros((rows, cols + 1), exact=True)
-    aug[:, :cols] = m
-    aug[:, cols] = b
-    red, pivots = _rref(aug)
+    cols = m.shape[1]
+    a, pivots, d = _echelon(np.column_stack([m, b]))
     if cols in pivots:
         raise InfeasibleSystem("exact linear system is inconsistent")
     x = zeros(cols, exact=True)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, cols]
+    x[pivots] = _fractions(a[: len(pivots), cols], d)
     return x
 
 
 def exact_inv(m: np.ndarray) -> np.ndarray:
     n = m.shape[0]
-    aug = zeros((n, 2 * n), exact=True)
-    aug[:, :n] = m
-    aug[:, n:] = eye(n, exact=True)
-    red, pivots = _rref(aug)
+    a, pivots, d = _echelon(np.concatenate([m, eye(n, exact=True)], axis=1))
     if pivots[: n] != list(range(n)):
         raise LinAlgDomainError("exact matrix is singular")
-    return red[:, n:]
+    return _fractions(a[:, n:], d)
 
 
 def _exact_is_pd(m: np.ndarray) -> bool:
-    """Sylvester criterion: all leading principal minors positive."""
-    n = m.shape[0]
-    a = m.copy()
-    # fraction-free-ish LU; det of leading block is the pivot product
-    det = Fraction(1)
-    for k in range(n):
-        if a[k, k] == 0:
+    """Sylvester criterion: all leading principal minors positive.
+
+    Fraction-free elimination without pivoting leaves the k-th leading
+    minor of the cleared matrix, a positive multiple of m's, in ``a[k, k]``.
+    """
+    a, _ = _integers(m)
+    prev = 1
+    for k in range(m.shape[0]):
+        p = a[k, k]
+        if p <= 0:
             return False
-        det *= a[k, k]
-        if det <= 0:
-            return False
-        for i in range(k + 1, n):
-            a[i, k + 1 :] = a[i, k + 1 :] - (a[i, k] / a[k, k]) * a[k, k + 1 :]
+        a[k + 1:, k + 1:] = (p * a[k + 1:, k + 1:] - np.outer(a[k + 1:, k], a[k, k + 1:])) // prev
+        prev = p
     return True
 
 
@@ -295,7 +350,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         term = eye(n, exact=True)
         out = eye(n, exact=True)
         for k in range(1, n + 1):
-            term = term @ m / Fraction(k)
+            term = exact_matmul(term, m) / Fraction(k)
             if not term.any():
                 return out
             out = out + term
@@ -352,12 +407,12 @@ def span_residual(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
     if basis.shape[1] == 0:
         return vec
     if is_exact(basis):
-        coeff = exact_solve(basis.T @ basis, basis.T @ vec)
+        coeff = exact_solve(exact_matmul(basis.T, basis), exact_matmul(basis.T, vec))
     else:
         coeff, *_ = np.linalg.lstsq(
             np.asarray(basis, dtype=float), np.asarray(vec, dtype=float), rcond=None
         )
-    return vec - basis @ coeff
+    return vec - matmul(basis, coeff)
 
 
 def norm(v) -> float:

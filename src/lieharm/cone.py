@@ -87,8 +87,9 @@ def automorphism_trace_form(adj: Automorphism, tol: Tolerance = DEFAULT_TOL) -> 
     adj.validate(tol)
     base = adj.base
     phi = adj.matrix
-    phi_star = base.gram_inv @ phi.T @ base.gram
-    return base.alg.trace_pairing(phi @ phi_star)       # tr(Phi^* ad_k Phi) = tr(ad_k Phi Phi^*)
+    phi_star = la.matmul(base.gram_inv, phi.T, base.gram)
+    # tr(Phi^* ad_k Phi) = tr(ad_k Phi Phi^*)
+    return base.alg.trace_pairing(la.matmul(phi, phi_star))
 
 
 def inner_tension(adj: Automorphism, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -103,7 +104,7 @@ def inner_tension(adj: Automorphism, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     tau = tension(adj.as_map(), tol)
     alpha = automorphism_trace_form(adj, tol)
     base = adj.base
-    expected = base.gram_inv @ alpha - adj.matrix @ base.unimodular_vector(tol)
+    expected = la.matmul(base.gram_inv, alpha) - la.matmul(adj.matrix, base.unimodular_vector(tol))
     diff = la.norm(la.to_float(tau) - la.to_float(expected))
     if diff > 10.0 * tol.threshold(1.0 + la.norm(tau) + la.norm(alpha)):
         raise CrossCheckError(

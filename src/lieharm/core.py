@@ -138,14 +138,13 @@ class LieAlgebra:
     def trace_pairing(self, m) -> np.ndarray:
         """The covector k -> tr(ad_{e_k} m) of a square matrix m."""
         n = self.dim
-        return self.c.reshape(n, n * n) @ np.asarray(m).reshape(n * n)
+        return la.matmul(self.c.reshape(n, n * n), np.asarray(m).reshape(n * n))
 
     def derived_subspace(self) -> np.ndarray:
-        """Columns spanning [g, g] (not necessarily independent)."""
-        cols = [self.c[i, j, :] for i in range(self.dim) for j in range(i + 1, self.dim)]
-        if not cols:
-            return la.zeros((self.dim, 0), self.exact)
-        return np.stack(cols, axis=1)
+        """Columns [e_i, e_j], i < j in row-major order, spanning [g, g]
+        (not necessarily independent)."""
+        ii, jj = la.strict_pairs(self.dim)
+        return self.c[ii, jj].T
 
 
 def jacobi_defect(alg: LieAlgebra) -> float:
@@ -170,9 +169,9 @@ def jacobi_defect(alg: LieAlgebra) -> float:
         b = hi - lo
         mid = np.ascontiguousarray(c[:, lo:hi])    # [l or k, i, .]
         # each term indexed [i, j, k, m] for i in [lo, hi)
-        s = (pairs[lo * n:hi * n] @ right).reshape(b, n, n, n)
-        s = s + (pairs @ mid.reshape(n, b * n)).reshape(n, n, b, n).transpose(2, 0, 1, 3)
-        s = s + (mid.reshape(n * b, n) @ right).reshape(n, b, n, n).transpose(1, 2, 0, 3)
+        s = la.matmul(pairs[lo * n:hi * n], right).reshape(b, n, n, n)
+        s = s + la.matmul(pairs, mid.reshape(n, b * n)).reshape(n, n, b, n).transpose(2, 0, 1, 3)
+        s = s + la.matmul(mid.reshape(n * b, n), right).reshape(n, b, n, n).transpose(1, 2, 0, 3)
         first, last = np.searchsorted(ii, (lo, hi))
         rows = s[ii[first:last] - lo, jj[first:last], kk[first:last]]
         worst = max(worst, la.max_row_norm(rows))
@@ -268,7 +267,7 @@ class EuclideanLieAlgebra:
 
     def ad_star(self, u) -> np.ndarray:
         """Metric adjoint of ad_u: the matrix M with <ad_u v, w> = <v, M w>."""
-        return self.gram_inv @ self.ad(u).T @ self.gram
+        return la.matmul(self.gram_inv, self.ad(u).T, self.gram)
 
     def pair(self, u, v):
         return self.inner.pair(u, v)
@@ -300,7 +299,7 @@ class EuclideanLieAlgebra:
         :class:`CrossCheckError`.
         """
         if self._unimodular is None:
-            by_trace = self.gram_inv @ self.alg.ad_traces()
+            by_trace = la.matmul(self.gram_inv, self.alg.ad_traces())
             by_product = self.levi_civita().frame_sum(self.gram_inv)
             _check_cross("unimodular vector", by_trace, by_product, self.gram, tol)
             self._unimodular = by_trace
@@ -352,10 +351,11 @@ class EuclideanLieAlgebra:
         n = self.dim
         u = np.asarray(u)
         lead = u.shape[:-1]
-        a_u = (u @ lc.table.reshape(n, n * n)).reshape(*lead, n, n)     # [a, b] = (A_u e_a)_b
-        ad_u = (u @ self.alg.c.reshape(n, n * n)).reshape(*lead, n, n)  # [a, x] = [u, e_a]_x
-        return lc.frame_sum(weights) @ a_u - lc.frame_sum(
-            weights @ a_u + np.swapaxes(ad_u, -1, -2) @ weights)
+        # a_u[a, b] = (A_u e_a)_b and ad_u[a, x] = [u, e_a]_x
+        a_u = la.matmul(u, lc.table.reshape(n, n * n)).reshape(*lead, n, n)
+        ad_u = la.matmul(u, self.alg.c.reshape(n, n * n)).reshape(*lead, n, n)
+        return la.matmul(lc.frame_sum(weights), a_u) - lc.frame_sum(
+            la.matmul(weights, a_u) + la.matmul(np.swapaxes(ad_u, -1, -2), weights))
 
     def ricci_operator(self) -> np.ndarray:
         """Matrix of ric(u) = sum_i K(u, b_i) b_i over an orthonormal basis."""
@@ -370,10 +370,9 @@ class EuclideanLieAlgebra:
         The result is checked to be closed under the bracket.
         """
         n = self.dim
-        stacked = la.zeros((n * n, n), self.exact)
-        for i in range(n):
-            sym = self.ad(self.basis(i)) + self.ad_star(self.basis(i))
-            stacked[:, i] = sym.reshape(-1)
+        c = self.alg.c                      # c[i] = ad(e_i)^T
+        sym = c.transpose(0, 2, 1) + la.matmul(self.gram_inv, c, self.gram)
+        stacked = sym.reshape(n, n * n).T   # column i: ad(e_i) + ad*(e_i)
         basis = la.nullspace(stacked, tol)
         scale = 1.0 + la.norm(self.alg.c)
         for a in range(basis.shape[1]):
@@ -408,11 +407,10 @@ class LeviCivitaProduct:
         g = ela.gram
         c = ela.alg.c
         # 2 <A_i j, k> = <[i,j],k> + <[k,i],j> + <[k,j],i>
-        cov = np.einsum("ijl,lk->ijk", c, g)
+        cov = la.contract_last(c, g)
         rhs = cov + np.transpose(cov, (1, 2, 0)) + np.transpose(cov, (2, 1, 0))
-        ginv = ela.gram_inv
         half = Fraction(1, 2) if ela.exact else 0.5
-        return half * np.einsum("ijl,lk->ijk", rhs, ginv.T)
+        return la.contract_last(rhs, half * ela.gram_inv.T)
 
     def product(self, u, v) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(u), np.asarray(v), self.table)
@@ -423,7 +421,7 @@ class LeviCivitaProduct:
         sum sum_i A_{b_i} b_i."""
         n = self.table.shape[0]
         w = np.asarray(weights)
-        return w.reshape(*w.shape[:-2], n * n) @ self.table.reshape(n * n, n)
+        return la.matmul(w.reshape(*w.shape[:-2], n * n), self.table.reshape(n * n, n))
 
     def operator(self, u) -> np.ndarray:
         """Matrix of v -> A_u v."""

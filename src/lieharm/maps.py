@@ -95,7 +95,7 @@ class LieAlgebraMap:
     def adjoint_matrix(self) -> np.ndarray:
         """Matrix of the metric adjoint xi^*: target -> source, defined by
         <xi u, w>_target = <u, xi^* w>_source."""
-        return self.source.gram_inv @ self.matrix.T @ self.target.gram
+        return la.matmul(self.source.gram_inv, self.matrix.T, self.target.gram)
 
     def hom_defect(self) -> float:
         """max_{i<j} | xi[b_i, b_j] - [xi b_i, xi b_j] | over basis pairs."""
@@ -103,9 +103,9 @@ class LieAlgebraMap:
         if ns < 2:
             return 0.0
         xi = self.matrix
-        image = self.source.alg.c @ xi.T                                # [i, j, m]
-        half = (xi.T @ self.target.alg.c.reshape(nt, nt * nt)).reshape(ns, nt, nt)
-        pushed = xi.T @ half                                           # [i, j, m]
+        image = la.matmul(self.source.alg.c, xi.T)                      # [i, j, m]
+        half = la.matmul(xi.T, self.target.alg.c.reshape(nt, nt * nt)).reshape(ns, nt, nt)
+        pushed = la.matmul(xi.T, half)                                  # [i, j, m]
         ii, jj = la.strict_pairs(ns)
         return la.max_row_norm((image - pushed)[ii, jj])
 
@@ -169,7 +169,7 @@ def connection_trace(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     tgt, xi = m.target, m.matrix
     direct = tgt.levi_civita().frame_sum(_frame_weights(m))
     # tr(xi^* ad_u xi) = tr(ad_u xi xi^*)
-    dual = tgt.gram_inv @ tgt.alg.trace_pairing(xi @ m.adjoint_matrix())
+    dual = la.matmul(tgt.gram_inv, tgt.alg.trace_pairing(la.matmul(xi, m.adjoint_matrix())))
     _check_cross("connection trace", direct, dual, tgt.gram, tol)
     return direct
 
@@ -177,7 +177,7 @@ def connection_trace(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
 def _frame_weights(m: LieAlgebraMap) -> np.ndarray:
     """xi G_src^-1 xi^T = sum_i (xi b_i)(xi b_i)^T over an orthonormal source
     basis: the weights of every frame sum over the image of the basis."""
-    return m.matrix @ m.source.gram_inv @ m.matrix.T
+    return la.matmul(m.matrix, m.source.gram_inv, m.matrix.T)
 
 
 def _tension_terms(m: LieAlgebraMap, tol: Tolerance):
@@ -207,8 +207,9 @@ def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
     tgt = m.target
     lc = tgt.levi_civita()
     w = _frame_weights(m)
-    t_second = lc.frame_sum(w @ (tau @ lc.table))      # sum_i B_{xi b_i} B_{xi b_i} tau
-    t_curv = tgt.curvature_trace(tau, w)                # sum_i K(tau, xi b_i) xi b_i
+    # sum_i B_{xi b_i} B_{xi b_i} tau and sum_i K(tau, xi b_i) xi b_i
+    t_second = lc.frame_sum(la.matmul(w, la.matmul(tau, lc.table)))
+    t_curv = tgt.curvature_trace(tau, w)
     t_drift = lc.product(m.apply(u_src), tau)
     tau2 = -(t_second + t_curv) + t_drift
 
@@ -216,11 +217,11 @@ def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
     # tr(xi^* (ad_u + ad_u^*) ad_tau xi) = tr(ad_u (N + (G N G^-1)^T)) for
     # N = ad_tau xi xi^*, and <[u, tau], tau> = tr(ad_u tau (G tau)^T)
     g = tgt.gram
-    n_tau = tgt.ad(tau) @ m.matrix @ m.adjoint_matrix()
-    sym = n_tau + (g @ n_tau @ tgt.gram_inv).T
-    pairings = (tgt.alg.trace_pairing(sym - np.outer(tau, g @ tau))
-                - tgt.bracket(tau, u_xi) @ g)
-    dual = tgt.gram_inv @ pairings
+    n_tau = la.matmul(tgt.ad(tau), m.matrix, m.adjoint_matrix())
+    sym = n_tau + la.matmul(g, n_tau, tgt.gram_inv).T
+    pairings = (tgt.alg.trace_pairing(sym - np.outer(tau, la.matmul(g, tau)))
+                - la.matmul(tgt.bracket(tau, u_xi), g))
+    dual = la.matmul(tgt.gram_inv, pairings)
 
     scale = 1.0 + la.norm(t_second) + la.norm(t_curv) + la.norm(t_drift)
     diff = la.norm(la.to_float(tau2) - la.to_float(dual))
@@ -245,7 +246,7 @@ def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
 def riemannian_immersion_defect(m: LieAlgebraMap) -> float:
     """|| xi^T G2 xi - G1 ||: zero iff xi preserves inner products."""
     return la.norm(
-        la.to_float(m.matrix.T @ m.target.gram @ m.matrix) - la.to_float(m.source.gram)
+        la.to_float(la.matmul(m.matrix.T, m.target.gram, m.matrix)) - la.to_float(m.source.gram)
     )
 
 
@@ -257,9 +258,7 @@ def is_riemannian_immersion(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> b
 def riemannian_submersion_defect(m: LieAlgebraMap) -> float:
     """|| xi G1^-1 xi^T - G2^-1 ||: zero iff xi is isometric on the
     orthogonal complement of its kernel (and onto)."""
-    return la.norm(
-        la.to_float(m.matrix @ m.source.gram_inv @ m.matrix.T) - la.to_float(m.target.gram_inv)
-    )
+    return la.norm(la.to_float(_frame_weights(m)) - la.to_float(m.target.gram_inv))
 
 
 def is_riemannian_submersion(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -137,9 +137,9 @@ def derivation_defect(ela: EuclideanLieAlgebra, op) -> float:
         return 0.0
     c = ela.alg.c
     op_t = np.asarray(op).T
-    d = (c @ op_t                                            # D[e_i, e_j]
-         - (op_t @ c.reshape(n, n * n)).reshape(n, n, n)    # [D e_i, e_j]
-         - op_t @ c)                                         # [e_i, D e_j]
+    d = (la.matmul(c, op_t)                                         # D[e_i, e_j]
+         - la.matmul(op_t, c.reshape(n, n * n)).reshape(n, n, n)    # [D e_i, e_j]
+         - la.matmul(op_t, c))                                      # [e_i, D e_j]
     ii, jj = la.strict_pairs(n)
     return la.max_row_norm(d[ii, jj])
 
@@ -168,19 +168,21 @@ def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> Conditi
 
     # rho([h_i, h_j]) against [rho_i, rho_j] - ad_{omega(h_i, h_j)}, all pairs at once
     ii, jj = la.strict_pairs(dh)
-    lhs = ch[ii, jj] @ rho.reshape(dh, dn * dn)
+    lhs = la.matmul(ch[ii, jj], rho.reshape(dh, dn * dn))
     rho_i, rho_j = rho[ii], rho[jj]
-    ad_omega = omega[ii, jj] @ ker.alg.c.reshape(dn, dn * dn)       # [p, (x, k)]
-    rhs = rho_i @ rho_j - rho_j @ rho_i - ad_omega.reshape(-1, dn, dn).transpose(0, 2, 1)
+    ad_omega = la.matmul(omega[ii, jj], ker.alg.c.reshape(dn, dn * dn))       # [p, (x, k)]
+    rhs = (la.matmul(rho_i, rho_j) - la.matmul(rho_j, rho_i)
+           - ad_omega.reshape(-1, dn, dn).transpose(0, 2, 1))
     action_defect = la.max_row_norm(
         la.to_float(lhs) - la.to_float(rhs.reshape(-1, dn * dn)))
 
     cocycle_defect = 0.0
     if dh >= 3:
         # S[a,b,c] = rho_a omega(h_b, h_c) - omega([h_a, h_b], h_c); cyclic sums over i < j < k
-        s = ((omega.reshape(dh * dh, dn) @ rho.reshape(dh * dn, dn).T)
+        s = (la.matmul(omega.reshape(dh * dh, dn), rho.reshape(dh * dn, dn).T)
              .reshape(dh, dh, dh, dn).transpose(2, 0, 1, 3)
-             - (ch.reshape(dh * dh, dh) @ omega.reshape(dh, dh * dn)).reshape(dh, dh, dh, dn))
+             - la.matmul(ch.reshape(dh * dh, dh), omega.reshape(dh, dh * dn))
+             .reshape(dh, dh, dh, dn))
         ii, jj, kk = la.strict_triples(dh)
         cocycle_defect = la.max_row_norm(s[ii, jj, kk] + s[jj, kk, ii] + s[kk, ii, jj])
 
@@ -425,7 +427,10 @@ def _search(kernel: EuclideanLieAlgebra, base: LieAlgebra, inner_domain: InnerPr
     """Certify inner actions of the flattened embeddings ``F = f0 + f_space @ x``,
     x normal (times ``first_scale`` on the first trial; ``None`` there means
     F = f0 without a draw), and return the first projection carrying ``flag``.
-    With ``twist_free``, samples whose twist does not vanish are rejected."""
+    With ``twist_free``, samples whose twist does not vanish are rejected.
+
+    Trial 0 with ``first_scale`` ``None`` or 0.0 is ``f0`` itself, whatever
+    the seed; ``seed`` only matters once that sample fails."""
     rng = np.random.default_rng(seed)
     last_error: Optional[Exception] = None
     for trial in range(max(1, budget)):
@@ -455,11 +460,13 @@ def build_harmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
 
     The action must satisfy ``tr(rho(h)) = <h, tau(Id)>_domain`` for every
     base vector; with inner actions this is a linear constraint on the
-    embedding matrix, solved exactly, then randomized over its null space
-    for up to ``budget`` samples.  Infeasible when the kernel carries no
-    trace (every inner derivation traceless) but the identity tension is
-    nonzero.  The result is certified harmonic by the independent tension
-    computation.
+    embedding matrix.  Trial 0 is its particular solution ``f0`` (least
+    norm, no randomness); only if that sample fails certification are
+    ``f0`` plus random null-space directions tried, up to ``budget``
+    samples in all, so ``seed`` only matters once trial 0 fails.
+    Infeasible when the kernel carries no trace (every inner derivation
+    traceless) but the identity tension is nonzero.  The result is
+    certified harmonic by the independent tension computation.
     """
     dom = EuclideanLieAlgebra(base, inner_domain)
     tgt = EuclideanLieAlgebra(base, inner_target)
@@ -489,6 +496,11 @@ def build_biharmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
     exactly when the identity map between the two base metrics is, which
     is a precondition (checked, error otherwise).  Certified by the
     independent bitension computation.
+
+    Trial 0 is the zero embedding, i.e. the trivial action ``rho = 0`` (the
+    direct product); random traceless embeddings are tried, up to
+    ``budget`` samples in all, only if it fails, so ``seed`` only matters
+    once trial 0 fails.
     """
     dom = EuclideanLieAlgebra(base, inner_domain)
     tgt = EuclideanLieAlgebra(base, inner_target)

@@ -29,7 +29,9 @@ from lieharm import (
     tension_coordinate_system,
 )
 from lieharm import _linalg as la
+from lieharm._linalg import DEFAULT_TOL
 from lieharm.cone import Automorphism, _cone_constraints
+from lieharm.core import CrossCheckError
 
 from conftest import rand_pd, random_homs, with_metric
 
@@ -440,3 +442,302 @@ def test_automorphism_trace_form(exact, rng):
     phi_star = ela.gram_inv @ phi.T @ ela.gram
     old = [np.trace(phi_star @ ela.ad(ela.basis(k)) @ phi) for k in range(5)]
     assert_agrees(automorphism_trace_form(Automorphism(ela, phi)), old, exact)
+
+
+# ---------------------------------------------------------------------------
+# derived and Killing subspaces
+# ---------------------------------------------------------------------------
+
+
+def derived_subspace_loop(alg):
+    cols = [alg.c[i, j, :] for i in range(alg.dim) for j in range(i + 1, alg.dim)]
+    if not cols:
+        return la.zeros((alg.dim, 0), alg.exact)
+    return np.stack(cols, axis=1)
+
+
+def killing_subalgebra_loop(ela, tol=DEFAULT_TOL):
+    n = ela.dim
+    stacked = la.zeros((n * n, n), ela.exact)
+    for i in range(n):
+        sym = ela.ad(ela.basis(i)) + ela.ad_star(ela.basis(i))
+        stacked[:, i] = sym.reshape(-1)
+    basis = la.nullspace(stacked, tol)
+    scale = 1.0 + la.norm(ela.alg.c)
+    for a in range(basis.shape[1]):
+        for b in range(a + 1, basis.shape[1]):
+            br = ela.bracket(basis[:, a], basis[:, b])
+            if la.norm(la.span_residual(basis, br)) > 10.0 * tol.threshold(scale):
+                raise CrossCheckError("Killing directions are not bracket-closed")
+    return basis
+
+
+@pytest.mark.parametrize("exact", MODES)
+def test_derived_subspace(exact, rng):
+    """Same columns in the same order, including dims 0 and 1 (no pairs)."""
+    for n in dims(exact, top=6):
+        alg = LieAlgebra(rand_tensor(rng, n, exact))
+        new = alg.derived_subspace()
+        assert new.dtype == (object if exact else float)
+        assert_agrees(new, derived_subspace_loop(alg), exact)
+
+
+def killing_cases(rng, exact):
+    """Algebras whose Killing space has dimension 0 to n: catalog algebras
+    with their reference metrics, with one rescaled direction and with a
+    random metric, plus random non-Jacobi tensors."""
+    for name in ("so3", "heis3", "nilp5", "e2flat", "sl2", "aff2solv"):
+        ela = get(name, exact=exact).ela
+        n = ela.dim
+        scale = la.eye(n, exact)
+        scale[0, 0] = Fraction(3) if exact else 3.0
+        yield ela
+        yield EuclideanLieAlgebra(ela.alg, InnerProduct(scale @ ela.gram @ scale))
+        yield EuclideanLieAlgebra(ela.alg, InnerProduct(rand_gram(rng, n, exact)))
+    for n in range(1, 4):
+        yield EuclideanLieAlgebra(get("abelian", n=n, exact=exact).ela.alg,
+                                  InnerProduct(rand_gram(rng, n, exact)))
+    for n in range(4):
+        yield rand_ela(rng, n, exact)
+
+
+@pytest.mark.parametrize("exact", MODES)
+def test_killing_subalgebra(exact, rng):
+    sizes = set()
+    for ela in killing_cases(rng, exact):
+        new = ela.killing_subalgebra()
+        assert_agrees(new, killing_subalgebra_loop(ela), exact)
+        sizes.add(new.shape[1])
+    assert {0, 1, 3} <= sizes
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel: integer products and fraction-free elimination
+# ---------------------------------------------------------------------------
+
+
+def frac_array(rng, shape, big=False):
+    """Fractions with mixed denominators and both signs; ``big`` puts the
+    numerators near 2**80."""
+    size = int(np.prod(shape))
+    num = [int(v) for v in rng.integers(-9, 10, size=size)]
+    if big:
+        num = [2 ** 80 * (1 if v >= 0 else -1) + v * 2 ** 40 + v for v in num]
+    den = [int(v) for v in rng.integers(1, 13, size=size)]
+    out = np.empty(shape, dtype=object)
+    out.reshape(-1)[:] = [Fraction(a, b) for a, b in zip(num, den)]
+    return out
+
+
+PRODUCT_SHAPES = [
+    ((3, 4), (4, 2)),          # non-square
+    ((4,), (4, 3)),            # 1-D times 2-D
+    ((3, 4), (4,)),            # 2-D times 1-D
+    ((5,), (5,)),              # 1-D times 1-D: a scalar
+    ((2, 3, 4), (4, 5)),       # stacked times 2-D
+    ((2, 3, 4), (2, 4, 1)),    # stacked times stacked
+    ((4, 3), (3, 0)),          # (k, 0) result
+    ((0, 3), (3, 2)),          # zero rows
+    ((3, 0), (0, 2)),          # zero-length contraction
+    ((0,), (0,)),
+]
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["small", "near-2**80"])
+@pytest.mark.parametrize("shapes", PRODUCT_SHAPES, ids=str)
+def test_exact_matmul_equals_fraction_product(shapes, big, rng):
+    for _ in range(3):
+        a, b = (frac_array(rng, s, big) for s in shapes)
+        old = a @ b
+        new, routed = la.exact_matmul(a, b), la.matmul(a, b)
+        if isinstance(old, np.ndarray):
+            assert new.shape == old.shape and new.dtype == object
+            assert all(type(v) is Fraction for v in new.ravel())
+            assert new.tolist() == old.tolist() == routed.tolist()
+        else:
+            assert type(new) is Fraction and new == old == routed
+
+
+def test_matmul_leaves_float_products_alone(rng):
+    a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))
+    assert np.array_equal(la.matmul(a, b), a @ b)
+    t = rng.normal(size=(3, 4, 4))
+    assert np.array_equal(la.contract_last(t, b), np.einsum("ijl,lk->ijk", t, b))
+
+
+def test_contract_last_equals_einsum_on_fractions(rng):
+    for lead in [(3, 2), (4,), (0, 3), ()]:
+        t, m = frac_array(rng, lead + (3,)), frac_array(rng, (3, 2))
+        old = np.einsum("...l,lk->...k", t, m)
+        assert la.contract_last(t, m).tolist() == np.asarray(old).tolist()
+
+
+# Verbatim copy of the Fraction elimination the kernel replaced.
+
+
+def old_rref(m: np.ndarray):
+    """Reduced row echelon form over Fractions; returns (rref, pivot cols)."""
+    a = m.copy()
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if a[i, c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+        a[r] = a[r] / a[r, c]
+        for i in range(rows):
+            if i != r and a[i, c] != 0:
+                a[i] = a[i] - a[i, c] * a[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def old_exact_nullspace(m: np.ndarray) -> np.ndarray:
+    """Exact basis (columns) of the kernel of a Fraction matrix."""
+    rows, cols = m.shape
+    red, pivots = old_rref(m)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = la.zeros((cols, len(free)), exact=True)
+    for k, fc in enumerate(free):
+        basis[fc, k] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            basis[pc, k] = -red[r, fc]
+    return basis
+
+
+def old_exact_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact particular solution of m x = b; raises if inconsistent."""
+    rows, cols = m.shape
+    aug = la.zeros((rows, cols + 1), exact=True)
+    aug[:, :cols] = m
+    aug[:, cols] = b
+    red, pivots = old_rref(aug)
+    if cols in pivots:
+        raise la.InfeasibleSystem("exact linear system is inconsistent")
+    x = la.zeros(cols, exact=True)
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r, cols]
+    return x
+
+
+def old_exact_inv(m: np.ndarray) -> np.ndarray:
+    n = m.shape[0]
+    aug = la.zeros((n, 2 * n), exact=True)
+    aug[:, :n] = m
+    aug[:, n:] = la.eye(n, exact=True)
+    red, pivots = old_rref(aug)
+    if pivots[: n] != list(range(n)):
+        raise la.LinAlgDomainError("exact matrix is singular")
+    return red[:, n:]
+
+
+def old_exact_is_pd(m: np.ndarray) -> bool:
+    """Sylvester criterion: all leading principal minors positive."""
+    n = m.shape[0]
+    a = m.copy()
+    # fraction-free-ish LU; det of leading block is the pivot product
+    det = Fraction(1)
+    for k in range(n):
+        if a[k, k] == 0:
+            return False
+        det *= a[k, k]
+        if det <= 0:
+            return False
+        for i in range(k + 1, n):
+            a[i, k + 1 :] = a[i, k + 1 :] - (a[i, k] / a[k, k]) * a[k, k + 1 :]
+    return True
+
+
+def rank_deficient(rng, rows, cols, rank, big=False):
+    """A random rational rows x cols matrix of rank at most ``rank``, with a
+    zero column and a repeated row when the shape allows."""
+    m = frac_array(rng, (rows, rank), big) @ frac_array(rng, (rank, cols))
+    if rows and cols > 2:
+        m[:, int(rng.integers(cols))] = Fraction(0)
+    if rows > 2:
+        m[-1] = m[0]
+    return m
+
+
+def elimination_cases(rng):
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 9), (9, 6)]:
+        for rank in range(min(rows, cols) + 1):
+            yield rank_deficient(rng, rows, cols, rank)
+    yield rank_deficient(rng, 5, 7, 3, big=True)
+    yield frac_array(rng, (4, 6), big=True)
+
+
+def assert_same(new, old):
+    assert new.shape == old.shape
+    assert new.tolist() == old.tolist()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except la.LinAlgDomainError as exc:
+        return type(exc)
+
+
+def test_exact_nullspace_equals_fraction_elimination(rng):
+    for m in elimination_cases(rng):
+        new = la.exact_nullspace(m)
+        assert_same(new, old_exact_nullspace(m))
+        assert all(type(v) is Fraction for v in new.ravel())
+
+
+def test_exact_solve_equals_fraction_elimination(rng):
+    raised = solved = 0
+    for m in elimination_cases(rng):
+        rows, cols = m.shape
+        consistent = m @ frac_array(rng, (cols,)) if cols else la.zeros(rows, exact=True)
+        for b in (consistent, frac_array(rng, (rows,))):
+            new, old = outcome(la.exact_solve, m, b), outcome(old_exact_solve, m, b)
+            if isinstance(old, type):
+                assert new is old is la.InfeasibleSystem
+                raised += 1
+            else:
+                assert_same(new, old)
+                assert list(m @ new) == list(b)
+                solved += 1
+    assert raised > 10 and solved > 10
+
+
+def test_exact_inv_equals_fraction_elimination(rng):
+    raised = inverted = 0
+    for n in range(6):
+        for m in (frac_array(rng, (n, n)), rank_deficient(rng, n, n, max(n - 1, 0)),
+                  frac_array(rng, (n, n), big=True)):
+            new, old = outcome(la.exact_inv, m), outcome(old_exact_inv, m)
+            if isinstance(old, type):
+                assert new is old is la.LinAlgDomainError
+                raised += 1
+            else:
+                assert_same(new, old)
+                inverted += 1
+    assert raised >= 4 and inverted >= 8
+
+
+def test_exact_is_pd_equals_fraction_elimination(rng):
+    verdicts = []
+    for n in range(1, 7):
+        a = frac_array(rng, (n, n))
+        low = rank_deficient(rng, n, n, n // 2)
+        for m in (a.T @ a + la.eye(n, exact=True),         # positive definite
+                  a.T @ a,                                  # generically definite
+                  low.T @ low,                              # semidefinite, singular
+                  a + a.T,                                  # generically indefinite
+                  -(a.T @ a) - la.eye(n, exact=True)):      # negative definite
+            verdicts.append(old_exact_is_pd(m))
+            assert la._exact_is_pd(m) == verdicts[-1]
+    assert True in verdicts and False in verdicts

@@ -701,6 +701,43 @@ def test_search_reproduces_the_per_recipe_loops(recipe, monkeypatch):
     assert results > 0
 
 
+@pytest.mark.parametrize("recipe", ["harmonic", "biharmonic"])
+def test_trial_zero_is_the_accepted_sample(recipe, monkeypatch):
+    """On every successful call of the recipe tests' inputs, trial 0 (the
+    particular solution f0, or the zero embedding) is the only sample drawn
+    and the one certified, so the accepted action is the same for every
+    seed; the biharmonic one is the trivial action rho = 0."""
+    samples = []
+
+    def recording(kernel, base, inner_domain, inner_target, f, *args, **kwargs):
+        samples.append(np.array(f, dtype=float))
+        return inner_action_data(kernel, base, inner_domain, inner_target, f, *args, **kwargs)
+
+    monkeypatch.setattr(semidirect, "inner_action_data", recording)
+    build = _RECIPES[recipe][0]
+    accepted = 0
+    for k in range(4):
+        calls = [args for name, args in _recipe_calls(np.random.default_rng(k), 0)
+                 if name == recipe]
+        for args in calls:
+            rhos, firsts = [], []
+            for seed in range(5):
+                samples.clear()
+                try:
+                    res = build(*args[:-1], seed)
+                except (ConstructionError, InfeasibleSearch):
+                    break
+                assert len(samples) == 1
+                firsts.append(samples[0])
+                rhos.append(np.asarray(res.data.rho, float))
+            for f, rho in zip(firsts[1:], rhos[1:]):
+                assert np.array_equal(f, firsts[0]) and np.array_equal(rho, rhos[0])
+            if recipe == "biharmonic":
+                assert all(not rho.any() for rho in rhos)
+            accepted += len(rhos)
+    assert accepted >= 20
+
+
 def _semidirect_samples(rng):
     heis = with_metric(get("heis3").ela, rand_pd(rng, 3))
     omega0 = np.zeros((2, 2, 3))
