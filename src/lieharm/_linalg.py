@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 
 class LinAlgDomainError(ValueError):
@@ -341,7 +340,8 @@ def is_positive_definite(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 def matrix_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential.
 
-    Float mode delegates to scipy's scaling-and-squaring implementation.
+    Float mode delegates to scipy's scaling-and-squaring implementation;
+    scipy is imported here, on first use, to keep it out of import time.
     Exact mode supports nilpotent matrices only (the power series
     terminates and is evaluated exactly); anything else raises.
     """
@@ -357,6 +357,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         raise ExactModeUnsupported(
             "exact matrix_exp is only available for nilpotent matrices"
         )
+    import scipy.linalg
     return scipy.linalg.expm(np.asarray(m, dtype=float))
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._linalg import DEFAULT_TOL, Tolerance
-from .core import CrossCheckError, EuclideanLieAlgebra
+from .core import CrossCheckError, EuclideanLieAlgebra, _check_cross
 from .maps import LieAlgebraMap, tension
 
 
@@ -105,11 +105,9 @@ def inner_tension(adj: Automorphism, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     alpha = automorphism_trace_form(adj, tol)
     base = adj.base
     expected = la.matmul(base.gram_inv, alpha) - la.matmul(adj.matrix, base.unimodular_vector(tol))
-    diff = la.norm(la.to_float(tau) - la.to_float(expected))
-    if diff > 10.0 * tol.threshold(1.0 + la.norm(tau) + la.norm(alpha)):
-        raise CrossCheckError(
-            f"inner tension and trace-form dual disagree by {diff:.3e}"
-        )
+    _check_cross("inner tension vs trace-form dual",
+                 la.norm(la.to_float(tau) - la.to_float(expected)),
+                 1.0 + la.norm(tau) + la.norm(alpha), tol)
     return tau
 
 
@@ -223,12 +221,8 @@ def harmonic_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> Con
     basis_vecs = la.nullspace(system, tol)
     dim = basis_vecs.shape[1]
     eye_vec = la.eye(n, ela.exact).reshape(-1)
-    resid = la.norm(la.span_residual(basis_vecs, eye_vec))
-    if resid > 10.0 * tol.threshold(1.0 + np.sqrt(n)):
-        raise CrossCheckError(
-            f"identity operator missing from the harmonic-cone span "
-            f"(residual {resid:.3e})"
-        )
+    _check_cross("identity operator in the harmonic-cone span",
+                 la.norm(la.span_residual(basis_vecs, eye_vec)), 1.0 + np.sqrt(n), tol)
     mats = [basis_vecs[:, k].reshape(n, n) for k in range(dim)]
     return ConeResult(sym_basis=mats, dimension=dim,
                       sample_interior=la.eye(n, ela.exact))

@@ -51,12 +51,12 @@ class CrossCheckError(RuntimeError):
     """
 
 
-def _check_cross(name: str, a, b, gram, tol: Tolerance) -> None:
-    diff = la.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    scale = 1.0 + la.norm(a) + la.norm(b)
-    if diff > 10.0 * tol.threshold(scale):
+def _check_cross(name: str, defect: float, scale: float, tol: Tolerance) -> None:
+    """Raise :class:`CrossCheckError` when ``defect``, the disagreement of two
+    independent routes to one quantity, exceeds ten thresholds at ``scale``."""
+    if defect > 10.0 * tol.threshold(scale):
         raise CrossCheckError(
-            f"{name}: independent formulas disagree by {diff:.3e} (scale {scale:.3e})"
+            f"{name}: cross-check defect {defect:.3e} (scale {scale:.3e})"
         )
 
 
@@ -301,7 +301,9 @@ class EuclideanLieAlgebra:
         if self._unimodular is None:
             by_trace = la.matmul(self.gram_inv, self.alg.ad_traces())
             by_product = self.levi_civita().frame_sum(self.gram_inv)
-            _check_cross("unimodular vector", by_trace, by_product, self.gram, tol)
+            _check_cross("unimodular vector",
+                         la.norm(la.to_float(by_trace) - la.to_float(by_product)),
+                         1.0 + la.norm(by_trace) + la.norm(by_product), tol)
             self._unimodular = by_trace
         return self._unimodular
 
@@ -522,7 +524,9 @@ def second_fundamental(sub: Subalgebra, tol: Tolerance = DEFAULT_TOL):
         for j in range(k):
             tangential = proj @ lc.product(b[:, i], b[:, j])
             ind = b @ ind_lc.product(induced.basis(i), induced.basis(j))
-            _check_cross("tangential Levi-Civita part", tangential, ind, parent.gram, tol)
+            _check_cross("tangential Levi-Civita part",
+                         la.norm(la.to_float(tangential) - la.to_float(ind)),
+                         1.0 + la.norm(tangential) + la.norm(ind), tol)
 
     ginv_sub = la.inv(b.T @ parent.gram @ b)
     mean = la.zeros(parent.dim, parent.exact)

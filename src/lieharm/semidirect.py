@@ -43,6 +43,7 @@ from .core import (
     EuclideanLieAlgebra,
     InnerProduct,
     LieAlgebra,
+    _check_cross,
 )
 from .maps import LieAlgebraMap, MapClassification, classify, tension, validate_hom
 
@@ -237,13 +238,9 @@ def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
     tau_proj = tension(proj, tol)
     idm = LieAlgebraMap.identity(sd.base_domain(), sd.base_target())
     expected = tension(idm, tol) - action_trace_vector(sd)
-    defect = la.norm(la.to_float(tau_proj) - la.to_float(expected))
-    scale = 1.0 + la.norm(tau_proj) + la.norm(expected)
-    if defect > 10.0 * tol.threshold(scale):
-        raise CrossCheckError(
-            f"projection tension disagrees with the splitting identity "
-            f"(defect {defect:.3e})"
-        )
+    _check_cross("projection tension vs splitting identity",
+                 la.norm(la.to_float(tau_proj) - la.to_float(expected)),
+                 1.0 + la.norm(tau_proj) + la.norm(expected), tol)
     return total, proj
 
 
@@ -384,12 +381,8 @@ def tension_coordinate_system(base_domain: EuclideanLieAlgebra,
     b = conn @ g2 - u1 @ g2
     x = la.solve_linear(g2, b, tol)
     direct = tension(LieAlgebraMap.identity(base_domain, base_target), tol)
-    diff = la.norm(la.to_float(x) - la.to_float(direct))
-    if diff > 10.0 * tol.threshold(1.0 + la.norm(direct)):
-        raise CrossCheckError(
-            f"tension coordinate system disagrees with the direct tension "
-            f"(defect {diff:.3e})"
-        )
+    _check_cross("tension coordinate system vs direct tension",
+                 la.norm(la.to_float(x) - la.to_float(direct)), 1.0 + la.norm(direct), tol)
     return g2, b, x
 
 

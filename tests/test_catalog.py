@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lieharm.catalog as catalog_module
 from lieharm import (
     CatalogError,
     classify,
@@ -101,3 +102,47 @@ def test_verification_suite_serializes():
     assert len(doc["checks"]) == len(report.checks)
     sample = doc["checks"][0]
     assert {"name", "expected", "measured", "passed"} <= set(sample)
+
+
+def test_verification_suite_names_are_unique():
+    names_seen = [c.name for c in run_verification_suite(seed=0).checks]
+    duplicates = sorted({n for n in names_seen if names_seen.count(n) > 1})
+    assert not duplicates, duplicates
+    assert "so3(1, 1, 2): harmonic-cone dimension" in names_seen
+    assert "so3(1, 2, 3): harmonic-cone dimension" in names_seen
+
+
+def test_verification_suite_isolates_a_crashing_check(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("composition check broke")
+
+    monkeypatch.setattr(catalog_module, "check_composition", broken)
+    report = run_verification_suite(seed=0)
+    failures = report.failures
+    assert len(failures) == 1
+    (failure,) = failures
+    assert failure.name == ("tension of a composed submersion splits along "
+                            "the factors")
+    assert failure.expected == "no exception"
+    assert failure.measured == repr(RuntimeError("composition check broke"))
+    assert all(c.passed for c in report.checks if c is not failure)
+
+
+def test_verification_suite_reports_an_entry_that_fails_to_build(monkeypatch):
+    real_get = catalog_module.get
+
+    def get_failing_nilp5(name, **params):
+        if name == "nilp5":
+            raise CatalogError("nilp5 is unavailable")
+        return real_get(name, **params)
+
+    monkeypatch.setattr(catalog_module, "get", get_failing_nilp5)
+    report = run_verification_suite(seed=0)
+    assert not report.passed
+    failed = {c.name: c for c in report.failures}
+    assert set(failed) == {
+        "nilp5: catalog entry checks",
+        "nilp5 codimension-one subalgebra: mean curvature vanishes",
+    }
+    assert all(c.measured == repr(CatalogError("nilp5 is unavailable"))
+               for c in failed.values())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lieharm import (
+    DEFAULT_TOL,
     CrossCheckError,
     EuclideanLieAlgebra,
     InnerProduct,
@@ -18,6 +19,8 @@ from lieharm import (
     quotient_metric,
     second_fundamental,
 )
+
+from lieharm.core import _check_cross
 
 from conftest import rand_pd, with_metric
 
@@ -199,3 +202,12 @@ def test_exact_euclidean_algebra_round_trip():
     assert list(ela.bracket(f, g)) == [Fraction(2), Fraction(0), Fraction(0)]
     assert np.linalg.norm(np.asarray(ela.unimodular_vector(), float)) == 0.0
     assert isinstance(ela.pair(z, z), Fraction)
+
+
+def test_cross_check_allows_ten_thresholds_and_names_the_failure():
+    limit = 10.0 * DEFAULT_TOL.threshold(2.0)
+    _check_cross("route pair", limit, 2.0, DEFAULT_TOL)
+    with pytest.raises(CrossCheckError) as info:
+        _check_cross("route pair", 2.0 * limit, 2.0, DEFAULT_TOL)
+    assert str(info.value) == (f"route pair: cross-check defect {2.0 * limit:.3e} "
+                               f"(scale {2.0:.3e})")

@@ -1,4 +1,7 @@
 """Exact/float linear-algebra kernel: solvers, nullspaces, orthonormalization."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +13,7 @@ from lieharm import (
     InfeasibleSystem,
     Tolerance,
 )
+import lieharm
 from lieharm import _linalg as la
 
 from conftest import rand_pd
@@ -137,3 +141,14 @@ def test_exact_mode_refuses_float_only_operations():
     m = frac_matrix([[1, 0], [0, 1]])
     with pytest.raises(ExactModeUnsupported):
         la.orthonormal_basis(m)
+
+
+def test_scipy_is_imported_on_the_first_float_exponential():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lieharm.__file__)))
+    code = ("import sys, numpy, lieharm\n"
+            "print('scipy' in sys.modules)\n"
+            "lieharm._linalg.matrix_exp(numpy.zeros((2, 2)))\n"
+            "print('scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.split() == ["False", "True"]
