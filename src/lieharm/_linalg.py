@@ -137,9 +137,13 @@ def max_row_norm(rows) -> float:
 # once, so the values are the ones plain Fraction arithmetic gives.
 
 
-def _integers(a: np.ndarray):
+def numerators(a: np.ndarray):
     """``(ints, d)``: an object array of Python ints and a positive int with
-    ``a == ints / d`` entrywise (``d`` the lcm of the denominators)."""
+    ``a == ints / d`` entrywise (``d`` the lcm of the denominators); a float
+    array is returned as itself over 1.  Sums of products of numerators share
+    one denominator, so :func:`over` forms each Fraction of the result once."""
+    if not is_exact(a):
+        return a, 1
     flat = a.ravel().tolist()
     dens = {x.denominator for x in flat}
     d = math.lcm(*dens)
@@ -152,10 +156,13 @@ def _integers(a: np.ndarray):
     return ints, d
 
 
-def _fractions(ints, d: int):
-    """The Fractions ``ints / d`` (an array, or one scalar), each value formed once."""
+def over(ints, d: int):
+    """The Fractions ``ints / d`` (an array, or one scalar), each value formed
+    once; a float array (whose ``d`` is 1) is returned as itself."""
     if not isinstance(ints, np.ndarray):
         return Fraction(ints, d)
+    if not is_exact(ints):
+        return ints
     flat = ints.ravel().tolist()
     value = {v: Fraction(v, d) for v in set(flat)}
     out = np.empty(ints.shape, dtype=object)
@@ -167,11 +174,11 @@ def exact_matmul(*arrays):
     """``a @ b @ ...``, left to right, for Fraction arrays of any shapes ``@``
     accepts: the operands' integer numerators over their common denominators
     are multiplied, and every output entry becomes one Fraction."""
-    ints, d = _integers(arrays[0])
+    ints, d = numerators(arrays[0])
     for a in arrays[1:]:
-        ia, da = _integers(a)
+        ia, da = numerators(a)
         ints, d = np.matmul(ints, ia), d * da
-    return _fractions(ints, d)
+    return over(ints, d)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, *more):
@@ -186,12 +193,11 @@ def matmul(a: np.ndarray, b: np.ndarray, *more):
 
 
 def contract_last(t: np.ndarray, m: np.ndarray):
-    """``sum_l t[..., l] m[l, k]``: ``np.einsum`` on floats, one
-    :func:`exact_matmul` of the flattened leading axes on Fractions."""
+    """``sum_l t[..., l] m[l, k]``: ``np.einsum`` on floats, one object
+    ``matmul`` of the flattened leading axes on :func:`numerators`."""
     if is_exact(t) and is_exact(m):
         lead = t.shape[:-1]
-        flat = exact_matmul(t.reshape(math.prod(lead), t.shape[-1]), m)
-        return flat.reshape(*lead, m.shape[-1])
+        return (t.reshape(math.prod(lead), t.shape[-1]) @ m).reshape(*lead, m.shape[-1])
     return np.einsum("...l,lk->...k", t, m)
 
 
@@ -204,7 +210,7 @@ def _echelon(m: np.ndarray):
     rest are zero.  Each step leaves minors of the cleared matrix in ``a``,
     so the division by the previous pivot is exact.
     """
-    a, _ = _integers(m)
+    a, _ = numerators(m)
     rows, cols = a.shape
     pivots = []
     prev = 1
@@ -230,7 +236,7 @@ def exact_nullspace(m: np.ndarray) -> np.ndarray:
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros((cols, len(free)), exact=True)
     basis[free, range(len(free))] = Fraction(1)
-    basis[pivots] = _fractions(-a[: len(pivots), free], d)
+    basis[pivots] = over(-a[: len(pivots), free], d)
     return basis
 
 
@@ -241,7 +247,7 @@ def exact_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     if cols in pivots:
         raise InfeasibleSystem("exact linear system is inconsistent")
     x = zeros(cols, exact=True)
-    x[pivots] = _fractions(a[: len(pivots), cols], d)
+    x[pivots] = over(a[: len(pivots), cols], d)
     return x
 
 
@@ -250,7 +256,7 @@ def exact_inv(m: np.ndarray) -> np.ndarray:
     a, pivots, d = _echelon(np.concatenate([m, eye(n, exact=True)], axis=1))
     if pivots[: n] != list(range(n)):
         raise LinAlgDomainError("exact matrix is singular")
-    return _fractions(a[:, n:], d)
+    return over(a[:, n:], d)
 
 
 def _exact_is_pd(m: np.ndarray) -> bool:
@@ -259,7 +265,7 @@ def _exact_is_pd(m: np.ndarray) -> bool:
     Fraction-free elimination without pivoting leaves the k-th leading
     minor of the cleared matrix, a positive multiple of m's, in ``a[k, k]``.
     """
-    a, _ = _integers(m)
+    a, _ = numerators(m)
     prev = 1
     for k in range(m.shape[0]):
         p = a[k, k]
@@ -397,6 +403,18 @@ def inv(m: np.ndarray) -> np.ndarray:
     if is_exact(m):
         return exact_inv(m)
     return np.linalg.inv(np.asarray(m, dtype=float))
+
+
+def kernel_residual(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """:func:`span_residual` for a basis from :func:`nullspace`, without a
+    solve: ``vec - B (B^T vec)`` for the orthonormal float basis, ``vec - B
+    vec[free]`` for the exact one, whose last nonzero row in each column is
+    that free column's unit row."""
+    if is_exact(basis):
+        (x, d), (v, dv) = numerators(basis), numerators(vec)
+        free = x.shape[0] - 1 - np.argmax(x[::-1] != 0, axis=0)
+        return over(v * d - x @ v[free], d * dv)
+    return vec - basis @ (basis.T @ vec)
 
 
 def span_residual(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -6,20 +6,22 @@ isometry being harmonic: on a unimodular algebra its metric dual is exactly
 the tension of ``Phi`` as a self-map.
 
 For a fixed metric ``g``, the *harmonic cone* collects the metrics ``h``
-with ``h(u,v) = g(Ju,v)`` whose identity map from ``g`` is harmonic.  The
-membership condition on the operator ``J`` is linear:
+with ``h(u,v) = g(Ju,v)`` whose identity map from ``g`` is harmonic.  Such
+``J`` are metric-symmetric, ``J = gram^{-1} S`` with ``S`` symmetric, and the
+membership condition is linear:
 
     tr(J ad_u) = tr(ad_{Ju})   for all u,
 
-intersected with metric-symmetry ``gram J = J^T gram``; the cone is the
-positive-definite part of that solution space and its *dimension* is the
+``n`` equations on the ``n(n+1)/2`` coordinates of ``S``; the cone is the
+positive-definite part of their solution space and its *dimension* is the
 dimension of the linear span.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -180,52 +182,64 @@ def sl2_residuals(entries: Sequence[float], alphas: Sequence[float],
 class ConeResult:
     """Linear hull of the harmonic cone of a metric.
 
-    ``sym_basis`` spans the metric-symmetric operators J satisfying the
-    trace condition; the cone itself is the positive-definite subset, whose
-    interior contains ``sample_interior`` (always the identity operator).
+    ``sym_basis`` spans the operators J = gram^{-1} S, S symmetric, satisfying
+    the trace condition (in float mode the S are Frobenius-orthonormal); the
+    cone itself is the positive-definite subset, whose interior contains
+    ``sample_interior`` (always the identity operator).  Arrays are read-only.
     """
 
-    sym_basis: List[np.ndarray]
+    sym_basis: Tuple[np.ndarray, ...]
     dimension: int
     sample_interior: np.ndarray
 
 
+@functools.lru_cache(maxsize=64)
+def _sym_coordinates(n: int, exact: bool):
+    """``(a, b, u)``: the entries a <= b of a symmetric matrix, row-major, and
+    the value the unit of each coordinate takes at (a, b) and (b, a).  ``u``
+    is 1 on the diagonal; off it, 1/sqrt(2) in float mode, so the coordinates
+    are a Frobenius isometry, and 1 in exact mode."""
+    a, b = la._frozen(*np.triu_indices(n))
+    return a, b, 1 if exact else la._frozen(np.where(a == b, 1.0, np.sqrt(0.5)))[0]
+
+
 def _cone_constraints(ela: EuclideanLieAlgebra) -> np.ndarray:
-    """Rows of the joint linear system on vec(J) (C-order flattening)."""
+    """The n trace rows on the coordinates of S: row k is tr(J ad_k) -
+    tr(ad_{J b_k}) = <T_k, J> = <gram^{-1} T_k, S>, T_k[a, b] = c[k, a, b] -
+    delta_bk tr(ad_a), of which only the symmetric part counts."""
     n = ela.dim
-    g = ela.gram
-    # metric symmetry, one row per a < b: (gram J - J^T gram)_{ab} = 0, i.e.
-    # sum_c g[a, c] J[c, b] - g[c, b] J[c, a] = 0
-    aa, bb = la.strict_pairs(n)
-    pick = np.arange(len(aa))
-    sym = la.zeros((len(aa), n, n), ela.exact)
-    sym[pick, :, bb] = g[aa, :]
-    sym[pick, :, aa] -= g[:, bb].T
-    # trace identity, one row per k: tr(J ad_k) - tr(ad_{J b_k}) = 0, where
-    # tr(J ad_k) = sum_ab J[a, b] c[k, a, b] and tr(ad_{J b_k}) = sum_m J[m, k] tr(ad_m)
-    trace = ela.alg.c.copy()
+    (c, dc), (ginv, dg) = map(la.numerators, (ela.alg.c, ela.gram_inv))
+    trace = c.copy()
     diag = np.arange(n)
-    trace[diag, :, diag] -= ela.alg.ad_traces()
-    return np.concatenate([sym.reshape(-1, n * n), trace.reshape(n, n * n)])
+    trace[diag, :, diag] -= np.trace(c, axis1=1, axis2=2)
+    p = ginv @ trace
+    a, b, u = _sym_coordinates(n, ela.exact)
+    return la.over((p[:, a, b] + np.where(a < b, p[:, b, a], 0)) * u, dc * dg)
 
 
 def harmonic_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> ConeResult:
-    """Solve the joint linear system for the harmonic cone's linear hull.
+    """The nullspace of the trace rows on S, mapped to J = gram^{-1} S;
+    memoized on ``ela`` per tolerance.
 
-    The identity operator always solves it (a metric reaches itself); its
-    absence from the computed span would mean a solver failure and raises
-    :class:`~lieharm.core.CrossCheckError`.
+    The identity operator, S = gram, always solves them (a metric reaches
+    itself); its absence from the computed span would mean a solver failure
+    and raises :class:`~lieharm.core.CrossCheckError`.
     """
+    cached = ela._cones.get(tol)
+    if cached is not None:
+        return cached
     n = ela.dim
-    system = _cone_constraints(ela)
-    basis_vecs = la.nullspace(system, tol)
-    dim = basis_vecs.shape[1]
-    eye_vec = la.eye(n, ela.exact).reshape(-1)
+    basis = la.nullspace(_cone_constraints(ela), tol)
+    a, b, u = _sym_coordinates(n, ela.exact)
+    x_gram, units = (ela.gram[a, b], basis.T) if ela.exact else (ela.gram[a, b] / u, basis.T * u)
     _check_cross("identity operator in the harmonic-cone span",
-                 la.norm(la.span_residual(basis_vecs, eye_vec)), 1.0 + np.sqrt(n), tol)
-    mats = [basis_vecs[:, k].reshape(n, n) for k in range(dim)]
-    return ConeResult(sym_basis=mats, dimension=dim,
-                      sample_interior=la.eye(n, ela.exact))
+                 la.norm(la.kernel_residual(basis, x_gram)), 1.0 + la.norm(ela.gram), tol)
+    sym = np.empty((basis.shape[1], n, n), basis.dtype)
+    sym[:, a, b] = sym[:, b, a] = units
+    ops, eye = la._frozen(la.matmul(ela.gram_inv, sym), la.eye(n, ela.exact))
+    result = ConeResult(sym_basis=tuple(ops), dimension=len(ops), sample_interior=eye)
+    ela._cones[tol] = result
+    return result
 
 
 def harmonic_dimension_check(ela: EuclideanLieAlgebra,

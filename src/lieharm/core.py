@@ -153,12 +153,13 @@ def jacobi_defect(alg: LieAlgebra) -> float:
     With ``T[i,j,k] = [[e_i,e_j],e_k]`` (one product of the flattened
     tensor with itself) the cyclic sum is ``T[i,j,k] + T[j,k,i] + T[k,i,j]``.
     It is formed for a block of ``i`` at a time, so the temporaries stay
-    within ``BLOCK_ELEMENTS`` entries whatever the dimension.
+    within ``BLOCK_ELEMENTS`` entries whatever the dimension.  Exact terms
+    are summed as numerators; only the triples' rows become Fractions.
     """
     n = alg.dim
     if n < 3:
         return 0.0
-    c = alg.c
+    c, d = la.numerators(alg.c)
     pairs = c.reshape(n * n, n)                   # [(a, b), l]
     right = c.reshape(n, n * n)                   # [l, (k, m)]
     ii, jj, kk = la.strict_triples(n)
@@ -169,12 +170,12 @@ def jacobi_defect(alg: LieAlgebra) -> float:
         b = hi - lo
         mid = np.ascontiguousarray(c[:, lo:hi])    # [l or k, i, .]
         # each term indexed [i, j, k, m] for i in [lo, hi)
-        s = la.matmul(pairs[lo * n:hi * n], right).reshape(b, n, n, n)
-        s = s + la.matmul(pairs, mid.reshape(n, b * n)).reshape(n, n, b, n).transpose(2, 0, 1, 3)
-        s = s + la.matmul(mid.reshape(n * b, n), right).reshape(n, b, n, n).transpose(1, 2, 0, 3)
+        s = (pairs[lo * n:hi * n] @ right).reshape(b, n, n, n)
+        s = s + (pairs @ mid.reshape(n, b * n)).reshape(n, n, b, n).transpose(2, 0, 1, 3)
+        s = s + (mid.reshape(n * b, n) @ right).reshape(n, b, n, n).transpose(1, 2, 0, 3)
         first, last = np.searchsorted(ii, (lo, hi))
         rows = s[ii[first:last] - lo, jj[first:last], kk[first:last]]
-        worst = max(worst, la.max_row_norm(rows))
+        worst = max(worst, la.max_row_norm(la.over(rows, d * d)))
     return worst
 
 
@@ -222,9 +223,9 @@ class InnerProduct:
 class EuclideanLieAlgebra:
     """A Lie algebra together with an inner product.
 
-    Derived data (inverse Gram, Levi-Civita product) is memoized on the
-    instance; the underlying tensors are never mutated after construction,
-    so concurrent readers are safe.
+    Derived data (inverse Gram, Levi-Civita product, harmonic cones) is
+    memoized on the instance; the underlying tensors are never mutated after
+    construction, so concurrent readers are safe.
     """
 
     def __init__(self, alg: LieAlgebra, inner: InnerProduct, name: str = ""):
@@ -238,6 +239,7 @@ class EuclideanLieAlgebra:
         self._gram_inv = None
         self._levi_civita = None
         self._unimodular = None
+        self._cones = {}            # harmonic cones, by tolerance (see cone.py)
 
     # -- structural passthroughs ------------------------------------------
 
@@ -380,7 +382,7 @@ class EuclideanLieAlgebra:
         for a in range(basis.shape[1]):
             for b in range(a + 1, basis.shape[1]):
                 br = self.bracket(basis[:, a], basis[:, b])
-                if la.norm(la.span_residual(basis, br)) > 10.0 * tol.threshold(scale):
+                if la.norm(la.kernel_residual(basis, br)) > 10.0 * tol.threshold(scale):
                     raise CrossCheckError("Killing directions are not bracket-closed")
         return basis
 
@@ -405,14 +407,13 @@ class LeviCivitaProduct:
 
     @staticmethod
     def _table(ela: EuclideanLieAlgebra) -> np.ndarray:
-        n = ela.dim
-        g = ela.gram
-        c = ela.alg.c
-        # 2 <A_i j, k> = <[i,j],k> + <[k,i],j> + <[k,j],i>
+        # 2 <A_i j, k> = <[i,j],k> + <[k,i],j> + <[k,j],i>, summed on the
+        # numerators of exact input, which share one denominator
+        half = Fraction(1, 2) if ela.exact else 0.5
+        (c, dc), (g, dg), (h, dh) = map(la.numerators, (ela.alg.c, ela.gram, half * ela.gram_inv.T))
         cov = la.contract_last(c, g)
         rhs = cov + np.transpose(cov, (1, 2, 0)) + np.transpose(cov, (2, 1, 0))
-        half = Fraction(1, 2) if ela.exact else 0.5
-        return la.contract_last(rhs, half * ela.gram_inv.T)
+        return la.over(la.contract_last(rhs, h), dc * dg * dh)
 
     def product(self, u, v) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(u), np.asarray(v), self.table)

@@ -122,6 +122,25 @@ def jacobi_defect_loop(alg):
     return worst
 
 
+def levi_civita_loop(ela):
+    """table[i, j] = A_{e_i} e_j from the polarization identity
+    2 <A_i e_j, e_k> = <[i,j],k> + <[k,i],j> + <[k,j],i>, one triple at a time."""
+    n = ela.dim
+    half = Fraction(1, 2) if ela.exact else 0.5
+    table = la.zeros((n, n, n), ela.exact)
+    for i in range(n):
+        ei = ela.basis(i)
+        for j in range(n):
+            ej = ela.basis(j)
+            cov = la.zeros(n, ela.exact)
+            for k in range(n):
+                ek = ela.basis(k)
+                cov[k] = half * (ela.pair(ela.bracket(ei, ej), ek) + ela.pair(ela.bracket(ek, ei), ej)
+                                 + ela.pair(ela.bracket(ek, ej), ei))
+            table[i, j] = ela.gram_inv @ cov
+    return table
+
+
 def derivation_defect_loop(ela, op):
     worst = 0.0
     for i in range(ela.dim):
@@ -176,28 +195,25 @@ def check_condition_loop(sd):
 
 
 def cone_constraints_loop(ela):
+    """Column (a, b), a <= b: the trace identity tr(J ad_k) - tr(ad_{J e_k})
+    for each k, evaluated at J = G^-1 U with U the unit of coordinate (a, b)
+    of S (u at (a, b) and (b, a); u = 1 on the diagonal and in exact mode,
+    1/sqrt(2) off it in float mode)."""
     n = ela.dim
-    g = ela.gram
     exact = ela.exact
-    rows = []
+    one = Fraction(1) if exact else 1.0
+    cols = []
     for aa in range(n):
-        for bb in range(aa + 1, n):
-            row = la.zeros(n * n, exact)
-            for cc in range(n):
-                row[cc * n + bb] = row[cc * n + bb] + g[aa, cc]
-                row[cc * n + aa] = row[cc * n + aa] - g[cc, bb]
-            rows.append(row)
-    ad_traces = [np.trace(ela.ad(ela.basis(m))) for m in range(n)]
-    for k in range(n):
-        adk = ela.ad(ela.basis(k))
-        row = la.zeros(n * n, exact)
-        for aa in range(n):
-            for bb in range(n):
-                row[aa * n + bb] = row[aa * n + bb] + adk[bb, aa]
-        for m in range(n):
-            row[m * n + k] = row[m * n + k] - ad_traces[m]
-        rows.append(row)
-    return np.stack(rows, axis=0)
+        for bb in range(aa, n):
+            unit = la.zeros((n, n), exact)
+            unit[aa, bb] = unit[bb, aa] = one if exact or aa == bb else np.sqrt(0.5)
+            j = ela.gram_inv @ unit
+            col = la.zeros(n, exact)
+            for k in range(n):
+                adk = ela.ad(ela.basis(k))
+                col[k] = np.trace(j @ adk) - np.trace(ela.ad(j @ ela.basis(k)))
+            cols.append(col)
+    return np.stack(cols, axis=1)
 
 
 def metric_trace_loop(ela, expr):
@@ -297,6 +313,16 @@ def test_jacobi_defect_in_blocks(exact, rng, monkeypatch):
 
 
 @pytest.mark.parametrize("exact", MODES)
+def test_levi_civita_table(exact, rng):
+    """Exact tables are summed on numerators and hold one Fraction per entry."""
+    for n in dims(exact):
+        ela = rand_ela(rng, n, exact)
+        table = ela.levi_civita().table
+        assert_agrees(table, levi_civita_loop(ela), exact)
+        assert not exact or all(type(x) is Fraction for x in table.ravel())
+
+
+@pytest.mark.parametrize("exact", MODES)
 def test_derivation_defect(exact, rng):
     for n in dims(exact):
         ela = rand_ela(rng, n, exact)
@@ -342,13 +368,14 @@ def test_check_condition_defects(exact, rng):
 
 @pytest.mark.parametrize("exact", MODES)
 def test_cone_constraints(exact, rng):
-    """Rows are copies and negations of c and G entries: equal in both modes
-    (dimension 0 is left out: the loop cannot stack zero rows)."""
+    """The trace rows on the coordinates of S equal the trace identity
+    evaluated at each unit (dimension 0 is left out: the loop cannot stack
+    zero columns)."""
     for n in range(1, 5 if exact else 6):
         ela = rand_ela(rng, n, exact)
         new, old = _cone_constraints(ela), cone_constraints_loop(ela)
-        assert new.shape == old.shape == (n * (n - 1) // 2 + n, n * n)
-        assert np.array_equal(new, old)
+        assert new.shape == old.shape == (n, n * (n + 1) // 2)
+        assert_agrees(new, old, exact)
 
 
 # ---------------------------------------------------------------------------
