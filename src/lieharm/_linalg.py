@@ -201,6 +201,16 @@ def contract_last(t: np.ndarray, m: np.ndarray):
     return np.einsum("...l,lk->...k", t, m)
 
 
+def pair_table(t: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """``sum_ab left[a, i] right[b, j] t[a, b, :]`` as a (kl, kr, m) array:
+    the bilinear product of table ``t`` (``alg.c`` for brackets, the
+    Levi-Civita table for ``A_u v``) on every pair of columns, from two
+    reshaped products of :func:`matmul`, so exact input stays on integers."""
+    n, nb, m = t.shape
+    half = matmul(left.T, t.reshape(n, nb * m)).reshape(left.shape[1], nb, m)
+    return matmul(right.T, half)
+
+
 def _echelon(m: np.ndarray):
     """Fraction-free Gauss-Jordan elimination of a Fraction matrix (Bareiss,
     Math. Comp. 22, 1968).
@@ -241,13 +251,14 @@ def exact_nullspace(m: np.ndarray) -> np.ndarray:
 
 
 def exact_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact particular solution of m x = b; raises if inconsistent."""
+    """Exact particular solution of m x = b for a vector or (n, k) block b;
+    raises if any column is inconsistent (a pivot in the augmented part)."""
     cols = m.shape[1]
     a, pivots, d = _echelon(np.column_stack([m, b]))
-    if cols in pivots:
+    if pivots and pivots[-1] >= cols:
         raise InfeasibleSystem("exact linear system is inconsistent")
-    x = zeros(cols, exact=True)
-    x[pivots] = over(a[: len(pivots), cols], d)
+    x = zeros((cols,) + b.shape[1:], exact=True)
+    x[pivots] = over(a[: len(pivots), cols:], d).reshape(len(pivots), *b.shape[1:])
     return x
 
 
@@ -306,18 +317,18 @@ def rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def solve_linear(m: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Least-squares solution of ``m x = b``; raises InfeasibleSystem if the
-    residual exceeds ``tol.abs + tol.rel * |b|``."""
+    """Least-squares solution of ``m x = b`` for a vector or an (n, k) block
+    ``b``; raises InfeasibleSystem if the residual of any column exceeds
+    ``tol.abs + tol.rel * |that column of b|``."""
     if is_exact(m):
         return exact_solve(m, b)
     m = np.asarray(m, dtype=float)
     b = np.asarray(b, dtype=float)
     x, *_ = np.linalg.lstsq(m, b, rcond=None)
-    resid = np.linalg.norm(m @ x - b)
-    if resid > tol.threshold(np.linalg.norm(b)):
-        raise InfeasibleSystem(
-            f"linear system unsolvable: residual {resid:.3e} above tolerance"
-        )
+    resid = np.atleast_1d(np.linalg.norm(m @ x - b, axis=0))
+    bad = resid[resid > tol.abs + tol.rel * np.linalg.norm(b, axis=0)]
+    if bad.size:
+        raise InfeasibleSystem(f"linear system unsolvable: residual {bad[0]:.3e} above tolerance")
     return x
 
 
@@ -406,10 +417,10 @@ def inv(m: np.ndarray) -> np.ndarray:
 
 
 def kernel_residual(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """:func:`span_residual` for a basis from :func:`nullspace`, without a
-    solve: ``vec - B (B^T vec)`` for the orthonormal float basis, ``vec - B
-    vec[free]`` for the exact one, whose last nonzero row in each column is
-    that free column's unit row."""
+    """:func:`span_residual` for a basis from :func:`nullspace` and a vector
+    or (n, k) block ``vec``, without a solve: ``vec - B (B^T vec)`` for the
+    orthonormal float basis, ``vec - B vec[free]`` for the exact one, whose
+    last nonzero row in each column is that free column's unit row."""
     if is_exact(basis):
         (x, d), (v, dv) = numerators(basis), numerators(vec)
         free = x.shape[0] - 1 - np.argmax(x[::-1] != 0, axis=0)
@@ -418,7 +429,8 @@ def kernel_residual(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def span_residual(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Component of ``vec`` outside the column span of ``basis``.
+    """Component of ``vec`` (a vector, or each column of an (n, k) block)
+    outside the column span of ``basis``.
 
     Uses plain least squares (float) or exact normal equations; never raises
     for vectors outside the span — callers inspect the returned residual.

@@ -184,6 +184,16 @@ def check_jacobi(alg: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
     return jacobi_defect(alg) <= tol.threshold(scale)
 
 
+def _closure_defect(c, basis, residual) -> float:
+    """Largest norm of ``residual(basis, [b_i, b_j])`` over column pairs
+    i < j, the brackets from one pair table (0.0 without pairs)."""
+    k = basis.shape[1]
+    if k < 2:
+        return 0.0
+    ii, jj = la.strict_pairs(k)
+    return la.max_row_norm(residual(basis, la.pair_table(c, basis, basis)[ii, jj].T).T)
+
+
 @dataclass(frozen=True)
 class InnerProduct:
     """Positive-definite Gram matrix in the algebra basis."""
@@ -223,9 +233,9 @@ class InnerProduct:
 class EuclideanLieAlgebra:
     """A Lie algebra together with an inner product.
 
-    Derived data (inverse Gram, Levi-Civita product, harmonic cones) is
-    memoized on the instance; the underlying tensors are never mutated after
-    construction, so concurrent readers are safe.
+    Derived data (inverse Gram, Levi-Civita product, Killing subalgebras,
+    harmonic cones) is memoized on the instance; the underlying tensors are
+    never mutated after construction, so concurrent readers are safe.
     """
 
     def __init__(self, alg: LieAlgebra, inner: InnerProduct, name: str = ""):
@@ -239,6 +249,7 @@ class EuclideanLieAlgebra:
         self._gram_inv = None
         self._levi_civita = None
         self._unimodular = None
+        self._killing = {}          # Killing subalgebras, by tolerance
         self._cones = {}            # harmonic cones, by tolerance (see cone.py)
 
     # -- structural passthroughs ------------------------------------------
@@ -371,19 +382,20 @@ class EuclideanLieAlgebra:
         """Columns spanning {u : ad_u + ad_u* = 0}.
 
         These are the directions whose left-invariant fields are Killing.
-        The result is checked to be closed under the bracket.
+        The result is checked to be closed under the bracket, and memoized
+        per tolerance as a read-only array.
         """
+        cached = self._killing.get(tol)
+        if cached is not None:
+            return cached
         n = self.dim
         c = self.alg.c                      # c[i] = ad(e_i)^T
         sym = c.transpose(0, 2, 1) + la.matmul(self.gram_inv, c, self.gram)
         stacked = sym.reshape(n, n * n).T   # column i: ad(e_i) + ad*(e_i)
         basis = la.nullspace(stacked, tol)
-        scale = 1.0 + la.norm(self.alg.c)
-        for a in range(basis.shape[1]):
-            for b in range(a + 1, basis.shape[1]):
-                br = self.bracket(basis[:, a], basis[:, b])
-                if la.norm(la.kernel_residual(basis, br)) > 10.0 * tol.threshold(scale):
-                    raise CrossCheckError("Killing directions are not bracket-closed")
+        if _closure_defect(c, basis, la.kernel_residual) > 10.0 * tol.threshold(1.0 + la.norm(c)):
+            raise CrossCheckError("Killing directions are not bracket-closed")
+        self._killing[tol], = la._frozen(basis)
         return basis
 
     def is_biinvariant(self, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -466,11 +478,8 @@ class Subalgebra:
         if la.rank(np.asarray(b, dtype=float), self.tol) != b.shape[1]:
             raise StructureError("subalgebra basis columns are dependent")
         scale = 1.0 + la.norm(self.parent.alg.c) * la.norm(b) ** 2
-        for i in range(b.shape[1]):
-            for j in range(i + 1, b.shape[1]):
-                br = self.parent.bracket(b[:, i], b[:, j])
-                if la.norm(la.span_residual(b, br)) > 10 * self.tol.threshold(scale):
-                    raise StructureError("subspace is not closed under the bracket")
+        if _closure_defect(self.parent.alg.c, b, la.span_residual) > 10 * self.tol.threshold(scale):
+            raise StructureError("subspace is not closed under the bracket")
 
     @property
     def dim(self) -> int:
@@ -478,14 +487,10 @@ class Subalgebra:
 
     def induced(self) -> EuclideanLieAlgebra:
         """The subalgebra as a Euclidean Lie algebra in its own basis."""
-        b = self.basis
-        k = self.dim
-        brackets = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                br = self.parent.bracket(b[:, i], b[:, j])
-                brackets[(i, j)] = la.solve_linear(b, br, self.tol.scaled(100.0))
-        alg = LieAlgebra.from_brackets(k, brackets, exact=self.parent.exact, tol=self.tol.scaled(100.0))
+        b, k, n = self.basis, self.dim, self.parent.dim
+        brackets = la.pair_table(self.parent.alg.c, b, b).reshape(k * k, n).T
+        c = la.solve_linear(b, brackets, self.tol.scaled(100.0)).T.reshape(k, k, k)
+        alg = LieAlgebra.from_tensor(c, exact=self.parent.exact, tol=self.tol.scaled(100.0))
         inner = InnerProduct(b.T @ self.parent.gram @ b)
         return EuclideanLieAlgebra(alg, inner)
 
@@ -502,41 +507,31 @@ class Subalgebra:
 def second_fundamental(sub: Subalgebra, tol: Tolerance = DEFAULT_TOL):
     """Second fundamental form and mean curvature of a subalgebra.
 
-    Returns ``(h, H)`` where ``h[i][j]`` is the normal component of
-    A_{b_i} b_j (parent coordinates, b = the subalgebra basis columns) and
+    Returns ``(h, H)``: ``h`` is a (k, k, n) array whose ``h[i, j]`` is the
+    normal component of A_{b_i} b_j (parent coordinates, b = the k
+    subalgebra basis columns, n the parent dimension), and
     ``H = sum_a h(u_a, u_a)`` over a basis orthonormal for the induced
-    metric.  The tangential part of A is the induced Levi-Civita product,
-    which is cross-checked.
+    metric, the frame sum of ``h`` with the inverse induced Gram.  The
+    tangential part of A is the induced Levi-Civita product, which is
+    cross-checked pair by pair.
     """
     parent = sub.parent
-    lc = parent.levi_civita()
-    b = sub.basis
-    k = sub.dim
-    proj = sub.tangential_projector()
-    normal = la.eye(parent.dim, parent.exact) - proj
-    h = np.empty((k, k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            h[i, j] = normal @ lc.product(b[:, i], b[:, j])
+    b, k, n = sub.basis, sub.dim, parent.dim
+    products = la.pair_table(parent.levi_civita().table, b, b)     # A_{b_i} b_j
+    normal = la.eye(n, parent.exact) - sub.tangential_projector()
+    h = la.matmul(normal, products[..., None])[..., 0]
 
-    induced = sub.induced()
-    ind_lc = induced.levi_civita()
-    for i in range(k):
-        for j in range(k):
-            tangential = proj @ lc.product(b[:, i], b[:, j])
-            ind = b @ ind_lc.product(induced.basis(i), induced.basis(j))
-            _check_cross("tangential Levi-Civita part",
-                         la.norm(la.to_float(tangential) - la.to_float(ind)),
-                         1.0 + la.norm(tangential) + la.norm(ind), tol)
+    induced = la.matmul(sub.induced().levi_civita().table, b.T)
+    tangential, induced = (la.to_float(x).reshape(k * k, n) for x in (products - h, induced))
+    defect = np.linalg.norm(tangential - induced, axis=1)
+    scale = 1.0 + np.linalg.norm(tangential, axis=1) + np.linalg.norm(induced, axis=1)
+    if k:
+        worst = np.argmax(defect - 10.0 * tol.rel * scale)
+        _check_cross("tangential Levi-Civita part", defect[worst], scale[worst], tol)
 
+    # summed pair by pair in basis order, the rounding of the old frame loop
     ginv_sub = la.inv(b.T @ parent.gram @ b)
-    mean = la.zeros(parent.dim, parent.exact)
-    for i in range(k):
-        for j in range(k):
-            w = ginv_sub[i, j]
-            if w != 0:
-                mean = mean + w * h[i, j]
-    return h, mean
+    return h, la.zeros(n, parent.exact) + (ginv_sub[..., None] * h).sum(axis=(0, 1))
 
 
 def quotient_metric(ela: EuclideanLieAlgebra, ideal: Subalgebra,
@@ -552,27 +547,21 @@ def quotient_metric(ela: EuclideanLieAlgebra, ideal: Subalgebra,
 
     Raises StructureError if the subalgebra is not an ideal.
     """
-    b = ideal.basis
+    b, n = ideal.basis, ela.dim
     scale = 1.0 + la.norm(ela.alg.c) * (1.0 + la.norm(b)) ** 2
-    for i in range(ela.dim):
-        for j in range(b.shape[1]):
-            br = ela.bracket(ela.basis(i), b[:, j])
-            if la.norm(la.span_residual(b, br)) > 10.0 * tol.threshold(scale):
-                raise StructureError("subalgebra is not an ideal")
+    moved = la.pair_table(ela.alg.c, la.eye(n, ela.exact), b).reshape(n * b.shape[1], n).T
+    if la.max_row_norm(la.span_residual(b, moved).T) > 10.0 * tol.threshold(scale):
+        raise StructureError("subalgebra is not an ideal")
 
     comp = la.nullspace(b.T @ ela.gram, tol)  # complement: <b_i, .>_G = 0
     if not ela.exact:
         comp = la.orthonormalize_in_metric(comp, np.asarray(ela.gram, dtype=float), tol)
     q = comp.shape[1]
     # coordinates of the projection: [w_i, w_j] = sum_a x_a w_a  mod ideal
-    full = np.concatenate([comp, b], axis=1)
-    brackets = {}
-    for i in range(q):
-        for j in range(i + 1, q):
-            br = ela.bracket(comp[:, i], comp[:, j])
-            brackets[(i, j)] = la.solve_linear(full, br, tol.scaled(100.0))[:q]
-    alg = LieAlgebra.from_brackets(q, brackets, name=f"{ela.name}/ideal",
-                                   exact=ela.exact, tol=tol.scaled(100.0))
+    brackets = la.pair_table(ela.alg.c, comp, comp).reshape(q * q, n).T
+    c = la.solve_linear(np.concatenate([comp, b], axis=1), brackets, tol.scaled(100.0))
+    alg = LieAlgebra.from_tensor(c[:q].T.reshape(q, q, q), name=f"{ela.name}/ideal",
+                                 exact=ela.exact, tol=tol.scaled(100.0))
     quotient = EuclideanLieAlgebra(
         alg, InnerProduct(comp.T @ ela.gram @ comp), name=f"{ela.name}/ideal"
     )

@@ -405,11 +405,9 @@ def kahler_defects(ks: KahlerStructure) -> Dict[str, float]:
     n = base.dim
     complex_defect = la.norm(la.to_float(j @ j) + np.eye(n))
     metric_defect = la.norm(la.to_float(j.T @ base.gram @ j) - la.to_float(base.gram))
-    lc = base.levi_civita()
-    parallel = 0.0
-    for i in range(n):
-        a = lc.operator(base.basis(i))
-        parallel = max(parallel, la.norm(la.to_float(a @ j) - la.to_float(j @ a)))
+    ops = base.levi_civita().table.transpose(0, 2, 1)      # ops[i] = A_{e_i}
+    parallel = la.max_row_norm(
+        (la.to_float(la.matmul(ops, j)) - la.to_float(la.matmul(j, ops))).reshape(n, n * n))
     return {
         "complex_defect": float(complex_defect),
         "metric_defect": float(metric_defect),
@@ -461,8 +459,5 @@ def submersion_defects(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> Dict[s
     tgt = m.target
     tau = tension(m, tol)
     killing = la.norm(la.to_float(tgt.ad(tau)) + la.to_float(tgt.ad_star(tau)))
-    lc = tgt.levi_civita()
-    parallel = 0.0
-    for k in range(tgt.dim):
-        parallel = max(parallel, la.norm(lc.product(tgt.basis(k), tau)))
+    parallel = la.max_row_norm(la.matmul(tau, tgt.levi_civita().table))   # rows B_{b_k} tau
     return {"killing_defect": float(killing), "parallel_defect": float(parallel)}

@@ -97,6 +97,56 @@ def test_solve_linear_flags_unsolvable(rng):
         la.solve_linear(m, np.array([1.0, 1.0]), DEFAULT_TOL)
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_solve_linear_block_of_right_hand_sides(exact):
+    """An (n, k) block is solved column by column: the same shape and
+    values in both modes, and each column is the single-vector solution."""
+    m = la.as_matrix([[1, 2], [0, 1], [1, 0]], exact)
+    b = la.as_matrix([[3, 1, 0], [1, 0, 2], [1, 1, -4]], exact)
+    x = la.solve_linear(m, b, DEFAULT_TOL)
+    assert x.shape == (2, 3)
+    assert np.allclose(la.to_float(x), [[1, 1, -4], [1, 0, 2]], atol=1e-12)
+    for j in range(3):
+        assert np.allclose(la.to_float(la.solve_linear(m, b[:, j], DEFAULT_TOL)),
+                           la.to_float(x[:, j]), atol=1e-12)
+    assert la.solve_linear(m, b[:, :0], DEFAULT_TOL).shape == (2, 0)
+    if exact:
+        assert all(isinstance(v, Fraction) for v in x.ravel())
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_solve_linear_block_flags_an_inconsistent_later_column(exact):
+    m = la.as_matrix([[1, 0], [0, 1], [0, 0]], exact)
+    b = la.as_matrix([[1, 1], [2, 0], [0, 1]], exact)     # column 1 leaves the span
+    with pytest.raises(InfeasibleSystem):
+        la.solve_linear(m, b, DEFAULT_TOL)
+    assert la.solve_linear(m, b[:, :1], DEFAULT_TOL).shape == (2, 1)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_span_and_kernel_residuals_of_a_block(exact):
+    basis = la.as_matrix([[1, 0], [0, 1], [0, 0]], exact)
+    vecs = la.as_matrix([[1, 2, 0], [3, 0, 0], [0, 5, -1]], exact)
+    expected = [[0, 0, 0], [0, 0, 0], [0, 5, -1]]
+    for residual in (la.span_residual, la.kernel_residual):
+        r = residual(basis, vecs)
+        assert r.shape == (3, 3)
+        assert np.allclose(la.to_float(r), expected, atol=1e-12)
+        for j in range(3):
+            assert np.allclose(la.to_float(residual(basis, vecs[:, j])), la.to_float(r[:, j]))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_pair_table_is_the_bilinear_product_on_column_pairs(exact, rng):
+    t = la.as_matrix(rng.integers(-3, 4, size=(4, 4, 3)), exact)
+    left = la.as_matrix(rng.integers(-2, 3, size=(4, 2)), exact)
+    right = la.as_matrix(rng.integers(-2, 3, size=(4, 5)), exact)
+    table = la.pair_table(t, left, right)
+    assert table.shape == (2, 5, 3) and table.dtype == t.dtype
+    expected = np.einsum("ai,bj,abm->ijm", *(la.to_float(x) for x in (left, right, t)))
+    assert np.array_equal(la.to_float(table), expected)
+
+
 def test_positive_definite_checks():
     assert la.is_positive_definite(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert not la.is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
