@@ -458,9 +458,7 @@ def _check_e1_no_parallel_vector(rec, rng, tol, seed):
     ok = True
     for _ in range(5):
         ela = get("e1", a=rng.uniform(0.5, 2.0), gram=_random_gram(rng, 2)).ela
-        lc = ela.levi_civita()
-        stacked = np.vstack([np.asarray(lc.operator(ela.basis(i)), dtype=float)
-                             for i in range(2)])
+        stacked = ela.levi_civita().table.transpose(0, 2, 1).reshape(-1, ela.dim)
         ok &= la.nullspace(stacked, tol).shape[1] == 0
     rec.add("2-dim non-abelian: no nonzero parallel vector", "True", str(ok), ok)
 

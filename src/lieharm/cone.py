@@ -195,12 +195,16 @@ class ConeResult:
 
 @functools.lru_cache(maxsize=64)
 def _sym_coordinates(n: int, exact: bool):
-    """``(a, b, u)``: the entries a <= b of a symmetric matrix, row-major, and
-    the value the unit of each coordinate takes at (a, b) and (b, a).  ``u``
-    is 1 on the diagonal; off it, 1/sqrt(2) in float mode, so the coordinates
-    are a Frobenius isometry, and 1 in exact mode."""
-    a, b = la._frozen(*np.triu_indices(n))
-    return a, b, 1 if exact else la._frozen(np.where(a == b, 1.0, np.sqrt(0.5)))[0]
+    """``(a, b, u, pos)``: the entries a <= b of a symmetric matrix, row-major,
+    the value the unit of each coordinate takes at (a, b) and (b, a), and
+    ``pos[x*n + y]``, the coordinate of the unordered pair {x, y}.  ``u`` is 1
+    on the diagonal; off it, 1/sqrt(2) in float mode, so the coordinates are
+    a Frobenius isometry, and 1 in exact mode."""
+    a, b = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[a, b] = pos[b, a] = np.arange(len(a))
+    a, b, pos = la._frozen(a, b, pos.reshape(-1))
+    return a, b, 1 if exact else la._frozen(np.where(a == b, 1.0, np.sqrt(0.5)))[0], pos
 
 
 def _cone_constraints(ela: EuclideanLieAlgebra) -> np.ndarray:
@@ -213,7 +217,7 @@ def _cone_constraints(ela: EuclideanLieAlgebra) -> np.ndarray:
     diag = np.arange(n)
     trace[diag, :, diag] -= np.trace(c, axis1=1, axis2=2)
     p = ginv @ trace
-    a, b, u = _sym_coordinates(n, ela.exact)
+    a, b, u, _ = _sym_coordinates(n, ela.exact)
     return la.over((p[:, a, b] + np.where(a < b, p[:, b, a], 0)) * u, dc * dg)
 
 
@@ -230,12 +234,11 @@ def harmonic_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> Con
         return cached
     n = ela.dim
     basis = la.nullspace(_cone_constraints(ela), tol)
-    a, b, u = _sym_coordinates(n, ela.exact)
+    a, b, u, pos = _sym_coordinates(n, ela.exact)
     x_gram, units = (ela.gram[a, b], basis.T) if ela.exact else (ela.gram[a, b] / u, basis.T * u)
     _check_cross("identity operator in the harmonic-cone span",
                  la.norm(la.kernel_residual(basis, x_gram)), 1.0 + la.norm(ela.gram), tol)
-    sym = np.empty((basis.shape[1], n, n), basis.dtype)
-    sym[:, a, b] = sym[:, b, a] = units
+    sym = units[:, pos].reshape(basis.shape[1], n, n)
     ops, eye = la._frozen(la.matmul(ela.gram_inv, sym), la.eye(n, ela.exact))
     result = ConeResult(sym_basis=tuple(ops), dimension=len(ops), sample_interior=eye)
     ela._cones[tol] = result

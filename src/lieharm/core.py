@@ -25,6 +25,8 @@ basis vector at a time.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -147,36 +149,56 @@ class LieAlgebra:
         return self.c[ii, jj].T
 
 
+@functools.lru_cache(maxsize=64)
+def _cyclic_rows(n: int):
+    """For the triples i < j < k of :func:`~lieharm._linalg.strict_triples`,
+    the rows ``p*n + x`` of the pair table ``T[p, x]`` (``p`` a strict pair
+    of :func:`~lieharm._linalg.strict_pairs`) holding the three terms
+    ``T[(i,j), k]``, ``T[(j,k), i]`` and ``T[(i,k), j]``."""
+    pair = np.zeros((n, n), dtype=np.intp)
+    ii, jj = la.strict_pairs(n)
+    pair[ii, jj] = np.arange(len(ii))
+    i, j, k = la.strict_triples(n)
+    return la._frozen(pair[i, j] * n + k, pair[j, k] * n + i, pair[i, k] * n + j)
+
+
 def jacobi_defect(alg: LieAlgebra) -> float:
     """Largest norm of a cyclic Jacobi sum over basis triples i < j < k.
 
-    With ``T[i,j,k] = [[e_i,e_j],e_k]`` (one product of the flattened
-    tensor with itself) the cyclic sum is ``T[i,j,k] + T[j,k,i] + T[k,i,j]``.
-    It is formed for a block of ``i`` at a time, so the temporaries stay
-    within ``BLOCK_ELEMENTS`` entries whatever the dimension.  Exact terms
-    are summed as numerators; only the triples' rows become Fractions.
+    The table ``T[p, x, m] = [[e_a, e_b], e_x]_m`` is formed once, for the
+    strict pairs p = (a < b) only: one product of the brackets ``c[a, b]``
+    with the tensor flattened to ``c[l, (x, m)]``.  Since ``[e_k, e_i] =
+    -[e_i, e_k]``, each triple's cyclic sum is the gather ``T[(i,j), k] +
+    T[(j,k), i] - T[(i,k), j]``.  The product is blocked over the output
+    component ``m``, so every temporary stays within ``BLOCK_ELEMENTS``
+    entries, and each block adds to the triples' squared norms, whose
+    largest is taken at the end.  Exact terms are summed as integer
+    numerators over one ``d**2``; there the blocks fill each triple's whole
+    row, which becomes Fractions once, so its norm is the float norm of
+    the exact sum, summed in the same order at any block size.
     """
     n = alg.dim
     if n < 3:
         return 0.0
     c, d = la.numerators(alg.c)
-    pairs = c.reshape(n * n, n)                   # [(a, b), l]
-    right = c.reshape(n, n * n)                   # [l, (k, m)]
-    ii, jj, kk = la.strict_triples(n)
-    step = max(1, la.BLOCK_ELEMENTS // n ** 3)
-    worst = 0.0
-    for lo in range(0, n - 2, step):
-        hi = min(lo + step, n - 2)
-        b = hi - lo
-        mid = np.ascontiguousarray(c[:, lo:hi])    # [l or k, i, .]
-        # each term indexed [i, j, k, m] for i in [lo, hi)
-        s = (pairs[lo * n:hi * n] @ right).reshape(b, n, n, n)
-        s = s + (pairs @ mid.reshape(n, b * n)).reshape(n, n, b, n).transpose(2, 0, 1, 3)
-        s = s + (mid.reshape(n * b, n) @ right).reshape(n, b, n, n).transpose(1, 2, 0, 3)
-        first, last = np.searchsorted(ii, (lo, hi))
-        rows = s[ii[first:last] - lo, jj[first:last], kk[first:last]]
-        worst = max(worst, la.max_row_norm(la.over(rows, d * d)))
-    return worst
+    ii, jj = la.strict_pairs(n)
+    left = c[ii, jj]                               # [p, l] = [e_a, e_b]
+    ij, jk, ik = _cyclic_rows(n)
+    exact = la.is_exact(c)
+    acc = np.empty((len(ij), n), dtype=object) if exact else np.zeros(len(ij))
+    step = max(1, la.BLOCK_ELEMENTS // (len(ii) * n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        right = np.ascontiguousarray(c[:, :, lo:hi]).reshape(n, n * (hi - lo))
+        t = (left @ right).reshape(len(ii) * n, hi - lo)    # [(p, x), m]
+        s = t.take(ij, axis=0) + t.take(jk, axis=0) - t.take(ik, axis=0)
+        if exact:
+            acc[:, lo:hi] = s
+        else:
+            acc += np.einsum("tm,tm->t", s, s)
+    if exact:
+        return la.max_row_norm(la.over(acc, d * d))
+    return math.sqrt(acc.max())
 
 
 def check_jacobi(alg: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:

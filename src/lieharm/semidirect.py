@@ -549,7 +549,7 @@ def build_riemannian_biharmonic(base: LieAlgebra, inner: InnerProduct,
     else:  # killing_trace
         if not dom.is_unimodular(tol):
             raise ConstructionError("variant needs a unimodular base")
-        s = np.stack([la.to_float(dom.ad_star(dom.basis(i))) for i in range(dh)])
+        s = la.matmul(dom.gram_inv, base.c, dom.gram)   # s[i] = ad*_{e_i}: c[i] = ad(e_i)^T
         ii, jj = np.triu_indices(dh)
         rows = _trace_rows(tvec, s[ii, :, jj] + s[jj, :, ii])   # ad*_{e_i} e_j + ad*_{e_j} e_i
     return _search(kernel, base, inner, inner, np.zeros(dn * dh), la.nullspace(rows, tol),

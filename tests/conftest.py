@@ -46,6 +46,16 @@ def with_metric(ela: EuclideanLieAlgebra, gram) -> EuclideanLieAlgebra:
     )
 
 
+def tower(name: str, top: int, exact: bool = False, **params) -> List[EuclideanLieAlgebra]:
+    """The catalog algebra and its tangent algebras up to dimension ``top``."""
+    ela = get(name, exact=exact, **params).ela
+    out = [ela]
+    while 2 * ela.dim <= top:
+        ela, _ = build_semidirect(tangent_semidirect(ela))
+        out.append(ela)
+    return out
+
+
 def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     q = q @ np.diag(np.sign(np.diag(r)))

@@ -88,6 +88,16 @@ def test_tangent_entry_carries_construction(rng):
     assert flags2["harmonic"] and flags2["biharmonic"]
 
 
+def test_e1_operator_stack_equals_the_basis_loop(rng):
+    """The stacked Levi-Civita operators of the e1 parallel-vector check, read
+    off the table, are bit-identical to stacking ``operator(e_i)`` per basis."""
+    for _ in range(20):
+        ela = get("e1", a=rng.uniform(0.5, 2.0), gram=rand_pd(rng, 2)).ela
+        lc = ela.levi_civita()
+        loop = np.vstack([np.asarray(lc.operator(ela.basis(i)), dtype=float) for i in range(2)])
+        assert np.array_equal(lc.table.transpose(0, 2, 1).reshape(-1, 2), loop)
+
+
 def test_verification_suite_is_green():
     report = run_verification_suite(seed=7)
     failures = [c for c in report.checks if not c.passed]

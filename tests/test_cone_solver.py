@@ -17,18 +17,16 @@ from lieharm import (
     EuclideanLieAlgebra,
     InnerProduct,
     LieAlgebra,
-    build_semidirect,
     get,
     harmonic_cone,
     harmonic_dimension_check,
-    tangent_semidirect,
 )
 import lieharm.cone as cone_module
 from lieharm import _linalg as la
 from lieharm._linalg import DEFAULT_TOL, Tolerance
 from lieharm.core import _check_cross
 
-from conftest import rand_pd, with_metric
+from conftest import rand_pd, tower, with_metric
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +64,22 @@ def reference_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> np
     return basis_vecs
 
 
+def reference_sym_basis(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL):
+    """The operators of the symmetric-coordinate solver as it filled them:
+    each coordinate's unit scattered into both triangles of S."""
+    n = ela.dim
+    basis = la.nullspace(cone_module._cone_constraints(ela), tol)
+    a, b = np.triu_indices(n)
+    u = 1 if ela.exact else np.where(a == b, 1.0, np.sqrt(0.5))
+    units = basis.T if ela.exact else basis.T * u
+    sym = np.empty((basis.shape[1], n, n), basis.dtype)
+    sym[:, a, b] = sym[:, b, a] = units
+    return tuple(la.matmul(ela.gram_inv, sym))
+
+
 # ---------------------------------------------------------------------------
 # inputs
 # ---------------------------------------------------------------------------
-
-
-def tower(name: str, top: int, exact: bool, **params):
-    """The catalog algebra and its tangent algebras up to dimension ``top``."""
-    ela = get(name, exact=exact, **params).ela
-    out = [ela]
-    while 2 * ela.dim <= top:
-        ela, _ = build_semidirect(tangent_semidirect(ela))
-        out.append(ela)
-    return out
 
 
 def random_algebras(rng, exact: bool, top: int):
@@ -146,6 +147,18 @@ def test_exact_row_spaces_match_the_full_system(rng):
         new = vec_basis(res)
         assert la.is_exact(new) and res.dimension == old.shape[1], (ela.name, ela.dim)
         assert la.rank(np.concatenate([old, new], axis=1)) == old.shape[1]
+
+
+def test_gathered_basis_equals_the_scattered_one():
+    """Bit-identical operators on the float towers (e1 to dimension 32) and
+    the exact towers to dimension 8."""
+    elas = (tower("e1", 32, False, a=1.5) + tower("heis3", 24, False)
+            + tower("e1", 8, True, a=Fraction(3, 2)) + tower("heis3", 8, True))
+    for ela in elas:
+        new, old = harmonic_cone(ela).sym_basis, reference_sym_basis(ela)
+        assert len(new) == len(old), (ela.name, ela.dim)
+        for x, y in zip(new, old):
+            assert x.dtype == y.dtype and np.array_equal(x, y), (ela.name, ela.dim)
 
 
 def test_float_basis_is_frobenius_orthonormal_in_s(rng):

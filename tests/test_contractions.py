@@ -31,9 +31,9 @@ from lieharm import (
 from lieharm import _linalg as la
 from lieharm._linalg import DEFAULT_TOL
 from lieharm.cone import Automorphism, _cone_constraints
-from lieharm.core import CrossCheckError
+from lieharm.core import CrossCheckError, StructureError
 
-from conftest import rand_pd, random_homs, with_metric
+from conftest import rand_pd, random_homs, tower, with_metric
 
 RTOL = 1e-12
 
@@ -119,6 +119,32 @@ def jacobi_defect_loop(alg):
                     + alg.bracket(alg.bracket(ek, ei), ej)
                 )
                 worst = max(worst, la.norm(s))
+    return worst
+
+
+def jacobi_defect_blocked(alg):
+    """The blocked product the library used before it formed the strict-pair
+    table: all n^4 entries of three products per block of ``i``."""
+    n = alg.dim
+    if n < 3:
+        return 0.0
+    c, d = la.numerators(alg.c)
+    pairs = c.reshape(n * n, n)                   # [(a, b), l]
+    right = c.reshape(n, n * n)                   # [l, (k, m)]
+    ii, jj, kk = la.strict_triples(n)
+    step = max(1, la.BLOCK_ELEMENTS // n ** 3)
+    worst = 0.0
+    for lo in range(0, n - 2, step):
+        hi = min(lo + step, n - 2)
+        b = hi - lo
+        mid = np.ascontiguousarray(c[:, lo:hi])    # [l or k, i, .]
+        # each term indexed [i, j, k, m] for i in [lo, hi)
+        s = (pairs[lo * n:hi * n] @ right).reshape(b, n, n, n)
+        s = s + (pairs @ mid.reshape(n, b * n)).reshape(n, n, b, n).transpose(2, 0, 1, 3)
+        s = s + (mid.reshape(n * b, n) @ right).reshape(n, b, n, n).transpose(1, 2, 0, 3)
+        first, last = np.searchsorted(ii, (lo, hi))
+        rows = s[ii[first:last] - lo, jj[first:last], kk[first:last]]
+        worst = max(worst, la.max_row_norm(la.over(rows, d * d)))
     return worst
 
 
@@ -303,13 +329,59 @@ def test_jacobi_defect(exact, rng):
 
 @pytest.mark.parametrize("exact", MODES)
 def test_jacobi_defect_in_blocks(exact, rng, monkeypatch):
-    """Blocks of one and of several rows give the unblocked value."""
-    n = 6 if exact else 9
-    alg = LieAlgebra(rand_tensor(rng, n, exact))
-    old = jacobi_defect_loop(alg)
-    for budget in (1, 2 * n ** 3, 3 * n ** 3 + 1):
-        monkeypatch.setattr(la, "BLOCK_ELEMENTS", budget)
-        assert_same_defect(jacobi_defect(alg), old, exact)
+    """Blocks of one and of several rows, and of one, several or all output
+    columns of the pair table, give the unblocked value."""
+    for n in range(3, 7 if exact else 13):
+        alg = LieAlgebra(rand_tensor(rng, n, exact))
+        old = jacobi_defect_loop(alg)
+        column = n * n * (n - 1) // 2       # entries of one output column of the pair table
+        for budget in (1, 2 * n ** 3, 3 * n ** 3 + 1, column, 3 * column + 1, n * column):
+            monkeypatch.setattr(la, "BLOCK_ELEMENTS", budget)
+            assert_same_defect(jacobi_defect(alg), old, exact)
+
+
+def jacobi_cases(rng, exact):
+    """Tower rungs (Jacobi holds) and random tensors (it fails) up to
+    dimension 32 in float mode and 8 in exact mode."""
+    top = 8 if exact else 32
+    params = {"a": Fraction(3, 2) if exact else 1.5}
+    algs = [ela.alg for ela in tower("e1", top, exact, **params) + tower("heis3", top, exact)]
+    sizes = range(3, 9) if exact else (3, 4, 5, 7, 8, 12, 16, 24, 32)
+    return algs + [LieAlgebra(rand_tensor(rng, n, exact)) for n in sizes]
+
+
+@pytest.mark.parametrize("exact", MODES)
+def test_jacobi_defect_matches_the_blocked_product(exact, rng):
+    for alg in jacobi_cases(rng, exact):
+        assert_same_defect(jacobi_defect(alg), jacobi_defect_blocked(alg), exact)
+
+
+@pytest.mark.parametrize("exact", MODES)
+def test_perturbed_tower_rung_violates_jacobi(exact, rng):
+    """Changing one bracket coefficient c[i, j, k], i < j < k, of a tower rung
+    is rejected exactly when the blocked product rejects it, and each rung
+    above the base has such an entry."""
+    top = 8 if exact else 32
+    params = {"a": Fraction(3, 2) if exact else 1.5}
+    one = Fraction(1) if exact else 1.0
+    for ela in tower("e1", top, exact, **params)[1:] + tower("heis3", top, exact)[1:]:
+        n = ela.dim
+        ii, jj, kk = la.strict_triples(n)
+        rejected = 0
+        for t in rng.permutation(len(ii))[:12]:
+            i, j, k = ii[t], jj[t], kk[t]
+            c = ela.alg.c.copy()
+            c[i, j, k] += one
+            c[j, i, k] -= one
+            scale = 1.0 + la.norm(c) ** 2
+            violates = jacobi_defect_blocked(LieAlgebra(c)) > DEFAULT_TOL.threshold(scale)
+            if violates:
+                with pytest.raises(StructureError, match="violate Jacobi"):
+                    LieAlgebra.from_tensor(c, exact=exact)
+                rejected += 1
+            else:
+                LieAlgebra.from_tensor(c, exact=exact)
+        assert rejected, (ela.name, n)
 
 
 @pytest.mark.parametrize("exact", MODES)
