@@ -11,6 +11,8 @@ examples and the gate the command-line ``catalog`` command reports on.
 
 from __future__ import annotations
 
+import os
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -337,6 +339,21 @@ class SuiteReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
+#: Fraction of ``atol`` at or below which :meth:`_Recorder.small` reports zero.
+_NOISE_FLOOR = 1e-6
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def _crash_site(exc: BaseException) -> str:
+    """``lieharm/<file>:<line> in <function>`` of the last traceback frame
+    of ``exc`` inside the package."""
+    frames = [f for f in traceback.extract_tb(exc.__traceback__)
+              if os.path.dirname(os.path.abspath(f.filename)) == _PACKAGE_DIR]
+    last = frames[-1]
+    return f"lieharm/{os.path.basename(last.filename)}:{last.lineno} in {last.name}"
+
+
 class _Recorder:
     def __init__(self):
         self.checks: List[SuiteCheck] = []
@@ -356,7 +373,11 @@ class _Recorder:
                  e.shape == m.shape and bool(np.allclose(e, m, atol=atol)))
 
     def small(self, name: str, measured: float, atol: float):
-        self.add(name, f"|.| <= {atol:g}", f"{measured:.3e}", measured <= atol)
+        """A quantity that must vanish to ``atol``.  Values at most
+        ``_NOISE_FLOOR * atol`` are rounding noise, whose digits depend on the
+        summation order, and print as ``0.000e+00`` like exact zeros."""
+        shown = 0.0 if measured <= _NOISE_FLOOR * atol else measured
+        self.add(name, f"|.| <= {atol:g}", f"{shown:.3e}", measured <= atol)
 
 
 def _random_gram(rng, n: int) -> np.ndarray:
@@ -724,5 +745,5 @@ def run_verification_suite(tol: Tolerance = DEFAULT_TOL, seed: int = 0
         try:
             check(rec, rng, tol, seed)
         except Exception as exc:  # a crash is itself a failed check
-            rec.add(title, "no exception", repr(exc), False)
+            rec.add(title, "no exception", f"{exc!r} at {_crash_site(exc)}", False)
     return SuiteReport(checks=tuple(rec.checks))

@@ -235,10 +235,13 @@ def harmonic_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> Con
     n = ela.dim
     basis = la.nullspace(_cone_constraints(ela), tol)
     a, b, u, pos = _sym_coordinates(n, ela.exact)
-    x_gram, units = (ela.gram[a, b], basis.T) if ela.exact else (ela.gram[a, b] / u, basis.T * u)
+    x_gram = ela.gram[a, b] if ela.exact else ela.gram[a, b] / u
     _check_cross("identity operator in the harmonic-cone span",
                  la.norm(la.kernel_residual(basis, x_gram)), 1.0 + la.norm(ela.gram), tol)
-    sym = units[:, pos].reshape(basis.shape[1], n, n)
+    if not ela.exact:
+        basis *= u[:, None]                     # coordinate units, in place
+    sym = basis.T[:, pos].reshape(basis.shape[1], n, n)
+    del basis                                   # freed before the operators are formed
     ops, eye = la._frozen(la.matmul(ela.gram_inv, sym), la.eye(n, ela.exact))
     result = ConeResult(sym_basis=tuple(ops), dimension=len(ops), sample_interior=eye)
     ela._cones[tol] = result

@@ -162,6 +162,11 @@ def _cyclic_rows(n: int):
     return la._frozen(pair[i, j] * n + k, pair[j, k] * n + i, pair[i, k] * n + j)
 
 
+def _front(buf: np.ndarray, shape) -> np.ndarray:
+    """A C-contiguous array of ``shape`` on the first entries of ``buf``."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def jacobi_defect(alg: LieAlgebra) -> float:
     """Largest norm of a cyclic Jacobi sum over basis triples i < j < k.
 
@@ -172,10 +177,13 @@ def jacobi_defect(alg: LieAlgebra) -> float:
     T[(j,k), i] - T[(i,k), j]``.  The product is blocked over the output
     component ``m``, so every temporary stays within ``BLOCK_ELEMENTS``
     entries, and each block adds to the triples' squared norms, whose
-    largest is taken at the end.  Exact terms are summed as integer
-    numerators over one ``d**2``; there the blocks fill each triple's whole
-    row, which becomes Fractions once, so its norm is the float norm of
-    the exact sum, summed in the same order at any block size.
+    largest is taken at the end.  The blocks write their product and their
+    gathered terms with ``out=`` into buffers allocated once per call (a
+    narrower last block into their C-contiguous front), so a large algebra
+    does not map fresh pages for every block.  Exact terms are summed as
+    integer numerators over one ``d**2``; there the blocks fill each
+    triple's whole row, which becomes Fractions once, so its norm is the
+    float norm of the exact sum, summed in the same order at any block size.
     """
     n = alg.dim
     if n < 3:
@@ -185,13 +193,22 @@ def jacobi_defect(alg: LieAlgebra) -> float:
     left = c[ii, jj]                               # [p, l] = [e_a, e_b]
     ij, jk, ik = _cyclic_rows(n)
     exact = la.is_exact(c)
-    acc = np.empty((len(ij), n), dtype=object) if exact else np.zeros(len(ij))
-    step = max(1, la.BLOCK_ELEMENTS // (len(ii) * n))
+    pairs, rows, terms = len(ii), len(ii) * n, len(ij)
+    acc = np.empty((terms, n), dtype=object) if exact else np.zeros(terms)
+    step = min(n, max(1, la.BLOCK_ELEMENTS // rows))
+    prod = np.empty((pairs, n * step), dtype=left.dtype)
+    s_full, g_full = np.empty((2, terms, step), dtype=left.dtype)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        right = np.ascontiguousarray(c[:, :, lo:hi]).reshape(n, n * (hi - lo))
-        t = (left @ right).reshape(len(ii) * n, hi - lo)    # [(p, x), m]
-        s = t.take(ij, axis=0) + t.take(jk, axis=0) - t.take(ik, axis=0)
+        w = hi - lo
+        out, s, g = (prod, s_full, g_full) if w == step else (
+            _front(prod, (pairs, n * w)), _front(s_full, (terms, w)), _front(g_full, (terms, w)))
+        right = np.ascontiguousarray(c[:, :, lo:hi]).reshape(n, n * w)
+        t = np.matmul(left, right, out=out).reshape(rows, w)    # [(p, x), m]
+        # mode="clip" (the rows are in range) writes to ``out`` unbuffered
+        t.take(ij, axis=0, out=s, mode="clip")
+        s += t.take(jk, axis=0, out=g, mode="clip")
+        s -= t.take(ik, axis=0, out=g, mode="clip")
         if exact:
             acc[:, lo:hi] = s
         else:

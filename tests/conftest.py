@@ -23,7 +23,7 @@ from lieharm import (
     sl2_adjoint_matrix,
     tangent_semidirect,
 )
-from lieharm._linalg import matrix_exp
+from lieharm._linalg import DEFAULT_TOL, Tolerance, matrix_exp
 
 
 @pytest.fixture
@@ -54,6 +54,26 @@ def tower(name: str, top: int, exact: bool = False, **params) -> List[EuclideanL
         ela, _ = build_semidirect(tangent_semidirect(ela))
         out.append(ela)
     return out
+
+
+def reference_nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The float nullspace as the library had it before wide matrices took
+    the Householder complement: the last right singular vectors of the
+    full SVD, verbatim."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if m.size == 0:
+        return np.eye(m.shape[1])[:, : m.shape[1]]
+    _, s, vh = np.linalg.svd(m)
+    smax = s[0] if s.size else 0.0
+    thr = tol.rel * smax + tol.abs
+    rank = int(np.sum(s >= thr))
+    return vh[rank:].T.copy()
+
+
+def principal_sine(a: np.ndarray, b: np.ndarray) -> float:
+    """Sine of the largest principal angle between the column spans of the
+    orthonormal ``a`` and ``b``: ``||b - a a^T b||_2``."""
+    return float(np.linalg.norm(b - a @ (a.T @ b), 2)) if b.size else 0.0
 
 
 def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:

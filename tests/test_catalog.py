@@ -1,4 +1,5 @@
 """Built-in algebra library and its self-verification suite."""
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,14 @@ from lieharm import (
 )
 
 from conftest import rand_pd, with_metric
+
+
+def call_site(func, call: str) -> str:
+    """The crash site the suite reports for an exception raised by the
+    first line of ``func`` that contains ``call``."""
+    lines, first = inspect.getsourcelines(func)
+    offset = next(i for i, line in enumerate(lines) if call in line)
+    return f"lieharm/catalog.py:{first + offset} in {func.__name__}"
 
 
 def test_names_lists_every_entry():
@@ -134,7 +143,8 @@ def test_verification_suite_isolates_a_crashing_check(monkeypatch):
     assert failure.name == ("tension of a composed submersion splits along "
                             "the factors")
     assert failure.expected == "no exception"
-    assert failure.measured == repr(RuntimeError("composition check broke"))
+    site = call_site(catalog_module._check_composed_submersion, "check_composition(")
+    assert failure.measured == f"{RuntimeError('composition check broke')!r} at {site}"
     assert all(c.passed for c in report.checks if c is not failure)
 
 
@@ -154,5 +164,26 @@ def test_verification_suite_reports_an_entry_that_fails_to_build(monkeypatch):
         "nilp5: catalog entry checks",
         "nilp5 codimension-one subalgebra: mean curvature vanishes",
     }
-    assert all(c.measured == repr(CatalogError("nilp5 is unavailable"))
-               for c in failed.values())
+    error = repr(CatalogError("nilp5 is unavailable"))
+    entry_check = catalog_module._catalog_entry("nilp5")[1]
+    assert failed["nilp5: catalog entry checks"].measured == (
+        f"{error} at {call_site(entry_check, 'get(name')}")
+    assert failed["nilp5 codimension-one subalgebra: mean curvature vanishes"].measured == (
+        f"{error} at {call_site(catalog_module._check_nilp5_minimal, 'get(')}")
+
+
+def test_rounding_noise_prints_as_zero():
+    """Values at most 1e-6 of ``atol`` print as zero, so two summation orders
+    of the same vanishing quantity give the same report line."""
+    lines = []
+    for noise in (1.951e-16, 2.079e-16, 0.0):
+        rec = catalog_module._Recorder()
+        rec.small("mean curvature vanishes", noise, 1e-8)
+        lines.append(rec.checks[0].to_dict())
+    assert lines[0] == lines[1] == lines[2]
+    assert lines[0]["measured"] == "0.000e+00" and lines[0]["passed"]
+    rec = catalog_module._Recorder()
+    rec.small("above the floor", 1.5e-14, 1e-8)
+    rec.small("above atol", 2e-8, 1e-8)
+    assert [c.measured for c in rec.checks] == ["1.500e-14", "2.000e-08"]
+    assert [c.passed for c in rec.checks] == [True, False]

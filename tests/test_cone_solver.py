@@ -26,7 +26,7 @@ from lieharm import _linalg as la
 from lieharm._linalg import DEFAULT_TOL, Tolerance
 from lieharm.core import _check_cross
 
-from conftest import rand_pd, tower, with_metric
+from conftest import principal_sine, rand_pd, reference_nullspace, tower, with_metric
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,25 @@ def test_gathered_basis_equals_the_scattered_one():
         assert len(new) == len(old), (ela.name, ela.dim)
         for x, y in zip(new, old):
             assert x.dtype == y.dtype and np.array_equal(x, y), (ela.name, ela.dim)
+
+
+def test_cones_above_the_column_cut_match_the_full_svd():
+    """The heis3 dim-24 and e1 dim-32 cone systems (300 and 528 columns)
+    take the Householder-complement kernel: the same span as the full-SVD
+    kernel, and Frobenius-orthonormal S = G J."""
+    elas = [tower("heis3", 24, False)[-1], tower("e1", 32, False, a=1.5)[-1]]
+    for ela in elas:
+        system = cone_module._cone_constraints(ela)
+        assert system.shape[1] > la.COMPLEMENT_MIN_COLS > system.shape[0]
+        _, _, u, pos = cone_module._sym_coordinates(ela.dim, False)
+        old = (reference_nullspace(system) * u[:, None])[pos]    # vec(S) columns
+        res = harmonic_cone(ela)
+        assert res.dimension == old.shape[1], (ela.name, ela.dim)
+        s = la.matmul(ela.gram, np.stack(res.sym_basis))
+        flat = s.reshape(len(s), -1)
+        assert np.allclose(s, s.transpose(0, 2, 1), atol=1e-12)
+        assert np.allclose(flat @ flat.T, np.eye(len(s)), atol=1e-12)
+        assert principal_sine(old, flat.T) < 1e-10, (ela.name, ela.dim)
 
 
 def test_float_basis_is_frobenius_orthonormal_in_s(rng):

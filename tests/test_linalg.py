@@ -16,7 +16,7 @@ from lieharm import (
 import lieharm
 from lieharm import _linalg as la
 
-from conftest import rand_pd
+from conftest import principal_sine, rand_pd, reference_nullspace
 
 
 def frac_matrix(rows):
@@ -81,6 +81,51 @@ def test_float_nullspace_matches_rank(rng):
     ns = la.nullspace(m, DEFAULT_TOL)
     assert ns.shape[1] == 6 - la.rank(m, DEFAULT_TOL)
     assert np.linalg.norm(m @ ns) < 1e-10
+
+
+CUT = la.COMPLEMENT_MIN_COLS
+
+
+def wide_cases():
+    """Wide float matrices on both sides of the column cut."""
+    rng = np.random.default_rng(9)
+    unit_rows = np.eye(CUT + 40)[[0, 1, 2, 7]]       # leading unit rows: tau = 0
+    return {
+        "full-rank-below": rng.normal(size=(16, 136)),
+        "full-rank-above": rng.normal(size=(24, 300)),
+        "deficient-below": rng.normal(size=(12, 3)) @ rng.normal(size=(3, 78)),
+        "deficient-above": rng.normal(size=(32, 5)) @ rng.normal(size=(5, 528)),
+        "zero-above": np.zeros((8, CUT + 8)),
+        "unit-rows-above": unit_rows,
+        "unit-and-random-above": np.vstack([unit_rows[:2], rng.normal(size=(3, CUT + 40))]),
+        "at-the-cut": rng.normal(size=(10, CUT)),
+        "one-past-the-cut": rng.normal(size=(10, CUT + 1)),
+    }
+
+
+@pytest.mark.parametrize("name", list(wide_cases()))
+def test_wide_nullspace_matches_the_full_svd(name):
+    """Both routes give the full SVD's kernel dimension and an orthonormal
+    basis of the same kernel; below and at the cut the basis is bit for bit
+    the full SVD's, and above it a zero matrix's is the identity."""
+    m = wide_cases()[name]
+    old, new = reference_nullspace(m), la.nullspace(m)
+    assert new.shape == old.shape
+    assert np.linalg.norm(new.T @ new - np.eye(new.shape[1])) <= 1e-12
+    assert np.linalg.norm(m @ new) <= 1e-10 * np.linalg.norm(m)
+    assert principal_sine(old, new) <= 1e-10
+    if m.shape[1] <= CUT:
+        assert np.array_equal(new, old)
+    elif not m.any():
+        assert np.array_equal(new, np.eye(m.shape[1]))     # rank 0: the identity
+
+
+def test_unit_rows_give_tau_zero_reflectors():
+    """The unit-row case does exercise reflectors with tau = 0 (H = I)."""
+    m = wide_cases()["unit-rows-above"]
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    _, tau = np.linalg.qr(vh[: int(np.sum(s > 0.5))].T, mode="raw")
+    assert (tau == 0).any()
 
 
 def test_solve_linear_least_squares_consistency(rng):
