@@ -488,8 +488,10 @@ def span_residual(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def norm(v) -> float:
-    """Euclidean norm usable in both modes (exact values go through float)."""
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+    """Euclidean norm usable in both modes (exact values go through float):
+    the value ``np.linalg.norm`` computes, without its argument handling."""
+    x = np.asarray(v, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def metric_norm(v: np.ndarray, gram: np.ndarray) -> float:

@@ -82,7 +82,7 @@ def _entry_e1(a=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     """Two-dimensional non-abelian algebra [e, f] = a e."""
     if float(a) == 0.0:
         raise CatalogError("e1: the bracket coefficient must be nonzero")
-    alg = LieAlgebra.from_brackets(2, {(0, 1): [a, 0 if exact else 0.0]},
+    alg = LieAlgebra.from_brackets(2, {(0, 1): [a, 0]},
                                    name="e1", exact=exact)
     ela = EuclideanLieAlgebra(alg, _gram(2, gram, exact), name="e1")
     expected: Dict[str, object] = {
@@ -99,7 +99,7 @@ def _entry_heis3(alpha=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     """Heisenberg algebra in the ordering (z, f, g) with [f, g] = alpha z."""
     _positive("heis3", alpha)
     zero = 0 if exact else 0.0
-    alg = LieAlgebra.from_brackets(3, {(1, 2): [alpha, zero, zero]},
+    alg = LieAlgebra.from_brackets(3, {(1, 2): [alpha, 0, 0]},
                                    name="heis3", exact=exact)
     ela = EuclideanLieAlgebra(alg, _gram(3, gram, exact), name="heis3")
     expected: Dict[str, object] = {
@@ -117,12 +117,10 @@ def _entry_sl2(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     [e,f]=h; metric diag(alphas)."""
     _positive("sl2", *alphas)
     zero = 0 if exact else 0.0
-    two = Fraction(2) if exact else 2.0
-    one = Fraction(1) if exact else 1.0
     alg = LieAlgebra.from_brackets(3, {
-        (0, 1): [zero, two, zero],
-        (0, 2): [zero, zero, -two],
-        (1, 2): [one, zero, zero],
+        (0, 1): [0, 2, 0],
+        (0, 2): [0, 0, -2],
+        (1, 2): [1, 0, 0],
     }, name="sl2", exact=exact)
     gram = [[alphas[0], 0, 0], [0, alphas[1], 0], [0, 0, alphas[2]]]
     ela = EuclideanLieAlgebra(alg, InnerProduct.of(gram, exact), name="sl2")
@@ -145,11 +143,10 @@ def _entry_so3(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     """
     _positive("so3", *alphas)
     zero = 0 if exact else 0.0
-    one = Fraction(1) if exact else 1.0
     alg = LieAlgebra.from_brackets(3, {
-        (0, 1): [zero, zero, one],
-        (1, 2): [one, zero, zero],
-        (0, 2): [zero, -one, zero],
+        (0, 1): [0, 0, 1],
+        (1, 2): [1, 0, 0],
+        (0, 2): [0, -1, 0],
     }, name="so3", exact=exact)
     gram = [[alphas[0], 0, 0], [0, alphas[1], 0], [0, 0, alphas[2]]]
     ela = EuclideanLieAlgebra(alg, InnerProduct.of(gram, exact), name="so3")
@@ -177,18 +174,13 @@ def _entry_nilp5(gram=None, exact: bool = False) -> CatalogEntry:
     """Five-dimensional two-step-solvable nilpotent algebra
     [e1,e2]=e3, [e1,e3]=e5, [e2,e4]=e5, with the minimal codimension-one
     subalgebra span{e1,e2,e3,e5}."""
-    zero = 0 if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    z5 = [zero] * 5
-    e3v, e5v = list(z5), list(z5)
-    e3v[2] = one
-    e5v[4] = one
+    e3v, e5v = [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]
     alg = LieAlgebra.from_brackets(5, {(0, 1): e3v, (0, 2): e5v, (1, 3): e5v},
                                    name="nilp5", exact=exact)
     ela = EuclideanLieAlgebra(alg, _gram(5, gram, exact), name="nilp5")
     expected: Dict[str, object] = {
         "unimodular": True,
-        "u_covector": z5,
+        "u_covector": [0 if exact else 0.0] * 5,
         "minimal_subalgebra": [0, 1, 2, 4],
     }
     if gram is None:
@@ -218,8 +210,8 @@ def _entry_e2flat(lam=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     _positive("e2flat", lam)
     zero = 0 if exact else 0.0
     alg = LieAlgebra.from_brackets(3, {
-        (0, 2): [zero, -lam, zero],
-        (1, 2): [lam, zero, zero],
+        (0, 2): [0, -lam, 0],
+        (1, 2): [lam, 0, 0],
     }, name="e2flat", exact=exact)
     ela = EuclideanLieAlgebra(alg, _gram(3, gram, exact), name="e2flat")
     expected: Dict[str, object] = {
@@ -236,15 +228,14 @@ def _entry_aff2solv(beta=0.5, gram=None, exact: bool = False) -> CatalogEntry:
     if abs(float(beta) + 1.0) < 1e-12:
         raise CatalogError("aff2solv: beta = -1 is the unimodular degeneration")
     zero = 0 if exact else 0.0
-    one = Fraction(1) if exact else 1.0
     alg = LieAlgebra.from_brackets(3, {
-        (0, 2): [-one, zero, zero],
-        (1, 2): [zero, -beta, zero],
+        (0, 2): [-1, 0, 0],
+        (1, 2): [0, -beta, 0],
     }, name="aff2solv", exact=exact)
     ela = EuclideanLieAlgebra(alg, _gram(3, gram, exact), name="aff2solv")
     expected: Dict[str, object] = {
         "unimodular": False,
-        "u_covector": [zero, zero, one + beta],
+        "u_covector": [zero, zero, zero + 1 + beta],
     }
     if gram is None:
         expected["kill_dim"] = 0

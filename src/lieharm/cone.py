@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._linalg import DEFAULT_TOL, Tolerance
-from .core import CrossCheckError, EuclideanLieAlgebra, _check_cross
+from .core import EuclideanLieAlgebra, _check_cross
 from .maps import LieAlgebraMap, tension
 
 
@@ -107,9 +107,8 @@ def inner_tension(adj: Automorphism, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     alpha = automorphism_trace_form(adj, tol)
     base = adj.base
     expected = la.matmul(base.gram_inv, alpha) - la.matmul(adj.matrix, base.unimodular_vector(tol))
-    _check_cross("inner tension vs trace-form dual",
-                 la.norm(la.to_float(tau) - la.to_float(expected)),
-                 1.0 + la.norm(tau) + la.norm(alpha), tol)
+    _check_cross("inner tension vs trace-form dual", tau, expected, tol,
+                 1.0 + la.norm(tau) + la.norm(alpha))
     return tau
 
 
@@ -237,7 +236,7 @@ def harmonic_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> Con
     a, b, u, pos = _sym_coordinates(n, ela.exact)
     x_gram = ela.gram[a, b] if ela.exact else ela.gram[a, b] / u
     _check_cross("identity operator in the harmonic-cone span",
-                 la.norm(la.kernel_residual(basis, x_gram)), 1.0 + la.norm(ela.gram), tol)
+                 la.kernel_residual(basis, x_gram), 0.0, tol, 1.0 + la.norm(ela.gram))
     if not ela.exact:
         basis *= u[:, None]                     # coordinate units, in place
     sym = basis.T[:, pos].reshape(basis.shape[1], n, n)
@@ -262,11 +261,8 @@ def harmonic_dimension_check(ela: EuclideanLieAlgebra,
     measured = harmonic_cone(ela, tol).dimension
     n = ela.dim
     predicted = n * (n - 1) // 2 + ela.killing_subalgebra(tol).shape[1]
-    if measured != predicted:
-        raise CrossCheckError(
-            f"harmonic dimension mismatch: measured {measured}, "
-            f"formula gives {predicted}"
-        )
+    _check_cross(f"harmonic dimension mismatch: measured {measured}, formula gives {predicted}",
+                 measured, predicted, tol)
     return measured, predicted
 
 

@@ -53,13 +53,29 @@ class CrossCheckError(RuntimeError):
     """
 
 
-def _check_cross(name: str, defect: float, scale: float, tol: Tolerance) -> None:
-    """Raise :class:`CrossCheckError` when ``defect``, the disagreement of two
-    independent routes to one quantity, exceeds ten thresholds at ``scale``."""
-    if defect > 10.0 * tol.threshold(scale):
+def _is_exact_route(x) -> bool:
+    return isinstance(x, (int, Fraction)) or getattr(x, "dtype", None) == object
+
+
+def _check_cross(name: str, first, second, tol: Tolerance, scale: float | None = None) -> float:
+    """Compare two independent routes to one quantity and return their defect
+    ``|first - second|``.
+
+    Exact routes (Fraction arrays or Python ints) must be equal; float routes
+    may differ by at most ten thresholds at ``scale``, by default
+    ``1 + |first| + |second|``.  Otherwise :class:`CrossCheckError` is raised.
+    """
+    exact = _is_exact_route(first) and _is_exact_route(second)
+    if exact and np.array_equal(first, second):
+        return 0.0
+    defect = la.norm(la.to_float(first) - la.to_float(second))
+    if scale is None:
+        scale = 1.0 + la.norm(first) + la.norm(second)
+    if exact or defect > 10.0 * tol.threshold(scale):
         raise CrossCheckError(
             f"{name}: cross-check defect {defect:.3e} (scale {scale:.3e})"
         )
+    return defect
 
 
 @dataclass(frozen=True)
@@ -168,7 +184,16 @@ def _front(buf: np.ndarray, shape) -> np.ndarray:
 
 
 def jacobi_defect(alg: LieAlgebra) -> float:
-    """Largest norm of a cyclic Jacobi sum over basis triples i < j < k.
+    """Largest norm of a cyclic Jacobi sum over basis triples i < j < k."""
+    if alg.dim < 3:
+        return 0.0
+    acc, d = _jacobi_sums(alg)
+    return la.max_row_norm(la.over(acc, d * d)) if alg.exact else math.sqrt(acc.max())
+
+
+def _jacobi_sums(alg: LieAlgebra):
+    """``(acc, d)`` for the triples i < j < k (dimension 3 or more): the cyclic
+    sums' squared norms (float, d = 1), or the sums as numerators over d**2.
 
     The table ``T[p, x, m] = [[e_a, e_b], e_x]_m`` is formed once, for the
     strict pairs p = (a < b) only: one product of the brackets ``c[a, b]``
@@ -186,8 +211,6 @@ def jacobi_defect(alg: LieAlgebra) -> float:
     float norm of the exact sum, summed in the same order at any block size.
     """
     n = alg.dim
-    if n < 3:
-        return 0.0
     c, d = la.numerators(alg.c)
     ii, jj = la.strict_pairs(n)
     left = c[ii, jj]                               # [p, l] = [e_a, e_b]
@@ -213,12 +236,14 @@ def jacobi_defect(alg: LieAlgebra) -> float:
             acc[:, lo:hi] = s
         else:
             acc += np.einsum("tm,tm->t", s, s)
-    if exact:
-        return la.max_row_norm(la.over(acc, d * d))
-    return math.sqrt(acc.max())
+    return acc, d
 
 
 def check_jacobi(alg: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether ``alg`` satisfies the Jacobi identity: within tolerance for a
+    float algebra, exactly (every cyclic sum zero) for an exact one."""
+    if alg.exact:
+        return alg.dim < 3 or not np.count_nonzero(_jacobi_sums(alg)[0])
     scale = 1.0 + la.norm(alg.c) ** 2
     return jacobi_defect(alg) <= tol.threshold(scale)
 
@@ -353,9 +378,7 @@ class EuclideanLieAlgebra:
         if self._unimodular is None:
             by_trace = la.matmul(self.gram_inv, self.alg.ad_traces())
             by_product = self.levi_civita().frame_sum(self.gram_inv)
-            _check_cross("unimodular vector",
-                         la.norm(la.to_float(by_trace) - la.to_float(by_product)),
-                         1.0 + la.norm(by_trace) + la.norm(by_product), tol)
+            _check_cross("unimodular vector", by_trace, by_product, tol)
             self._unimodular = by_trace
         return self._unimodular
 
@@ -432,17 +455,14 @@ class EuclideanLieAlgebra:
         sym = c.transpose(0, 2, 1) + la.matmul(self.gram_inv, c, self.gram)
         stacked = sym.reshape(n, n * n).T   # column i: ad(e_i) + ad*(e_i)
         basis = la.nullspace(stacked, tol)
-        if _closure_defect(c, basis, la.kernel_residual) > 10.0 * tol.threshold(1.0 + la.norm(c)):
-            raise CrossCheckError("Killing directions are not bracket-closed")
+        _check_cross("Killing directions are not bracket-closed",
+                     _closure_defect(c, basis, la.kernel_residual), 0.0, tol, 1.0 + la.norm(c))
         self._killing[tol], = la._frozen(basis)
         return basis
 
     def is_biinvariant(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """True when every ad_u is skew, i.e. the Killing space is everything."""
         return self.killing_subalgebra(tol).shape[1] == self.dim
-
-    def orthonormal_frame(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        return la.orthonormal_basis(np.asarray(self.gram, dtype=float), tol)
 
 
 class LeviCivitaProduct:
@@ -533,9 +553,6 @@ class Subalgebra:
         inner = InnerProduct(b.T @ self.parent.gram @ b)
         return EuclideanLieAlgebra(alg, inner)
 
-    def inclusion_matrix(self) -> np.ndarray:
-        return self.basis
-
     def tangential_projector(self) -> np.ndarray:
         """G-orthogonal projector of the parent onto the subspace."""
         b = self.basis
@@ -566,7 +583,8 @@ def second_fundamental(sub: Subalgebra, tol: Tolerance = DEFAULT_TOL):
     scale = 1.0 + np.linalg.norm(tangential, axis=1) + np.linalg.norm(induced, axis=1)
     if k:
         worst = np.argmax(defect - 10.0 * tol.rel * scale)
-        _check_cross("tangential Levi-Civita part", defect[worst], scale[worst], tol)
+        _check_cross("tangential Levi-Civita part", tangential[worst], induced[worst], tol,
+                     scale[worst])
 
     # summed pair by pair in basis order, the rounding of the old frame loop
     ginv_sub = la.inv(b.T @ parent.gram @ b)

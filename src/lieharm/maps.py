@@ -16,7 +16,10 @@ where ``B`` and ``K`` are the target Levi-Civita product and curvature and
 Every first-class quantity is computed twice, by structurally different
 formulas (a basis sum and a trace identity), and the two results must agree;
 a disagreement raises :class:`~lieharm.core.CrossCheckError` instead of
-returning a silently wrong vector.  The trace forms are
+returning a silently wrong vector.  Every such comparison goes through one
+helper, ``core._check_cross``, which takes both routes: float routes may
+differ by ten thresholds at the site's scale, exact routes must agree
+exactly.  The trace forms are
 
 * ``<U_xi, u>    = tr(xi^* ad_u xi)``
 * ``<tau2, u>    = tr(xi^* (ad_u + ad_u^*) ad_tau xi)
@@ -169,8 +172,7 @@ def connection_trace(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     direct = tgt.levi_civita().frame_sum(_frame_weights(m))
     # tr(xi^* ad_u xi) = tr(ad_u xi xi^*)
     dual = la.matmul(tgt.gram_inv, tgt.alg.trace_pairing(la.matmul(xi, m.adjoint_matrix())))
-    _check_cross("connection trace", la.norm(la.to_float(direct) - la.to_float(dual)),
-                 1.0 + la.norm(direct) + la.norm(dual), tol)
+    _check_cross("connection trace", direct, dual, tol)
     return direct
 
 
@@ -224,8 +226,7 @@ def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
     dual = la.matmul(tgt.gram_inv, pairings)
 
     scale = 1.0 + la.norm(t_second) + la.norm(t_curv) + la.norm(t_drift)
-    _check_cross("bitension (curvature formula vs trace identity)",
-                 la.norm(la.to_float(tau2) - la.to_float(dual)), scale, tol)
+    _check_cross("bitension (curvature formula vs trace identity)", tau2, dual, tol, scale)
     norms = {
         "second_order": la.norm(t_second),
         "curvature": la.norm(t_curv),
@@ -348,16 +349,15 @@ def submersion_split(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> Submersi
     tau_full = tension(m, tol)
     tau_bar = tension(qmap, tol)
     corr = m.apply(mean)
-    defect = la.norm(la.to_float(tau_full) - (la.to_float(tau_bar) - la.to_float(corr)))
     scale = 1.0 + la.norm(tau_full) + la.norm(tau_bar) + la.norm(corr)
-    _check_cross("submersion split tension", defect, scale, tol)
+    defect = _check_cross("submersion split tension", tau_full, tau_bar - corr, tol, scale)
     return SubmersionSplit(
         kernel=sub,
         mean_curvature=mean,
         quotient=quotient,
         section=section,
         quotient_map=qmap,
-        defect=float(defect),
+        defect=defect,
     )
 
 
@@ -374,10 +374,7 @@ def check_composition(outer: LieAlgebraMap, inner: LieAlgebraMap,
     full = compose(outer, inner, tol)
     lhs = tension(full, tol)
     rhs = tension(outer, tol) + outer.apply(tension(inner, tol))
-    defect = la.norm(la.to_float(lhs) - la.to_float(rhs))
-    scale = 1.0 + la.norm(lhs) + la.norm(rhs)
-    _check_cross("composition identity", defect, scale, tol)
-    return float(defect)
+    return _check_cross("composition identity", lhs, rhs, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .core import (
     LieAlgebra,
     _check_cross,
 )
-from .maps import LieAlgebraMap, MapClassification, classify, tension, validate_hom
+from .maps import LieAlgebraMap, MapClassification, _hom_scale, classify, tension
 
 
 class ConstructionError(ValueError):
@@ -123,12 +123,6 @@ class SemidirectData:
     def base_target(self) -> EuclideanLieAlgebra:
         """The base with the target-side metric."""
         return EuclideanLieAlgebra(self.base, self.inner_target)
-
-    def rho_of(self, u) -> np.ndarray:
-        return np.einsum("k,kij->ij", np.asarray(u), self.rho)
-
-    def omega_of(self, u, v) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(u), np.asarray(v), self.omega)
 
 
 def derivation_defect(ela: EuclideanLieAlgebra, op) -> float:
@@ -232,15 +226,12 @@ def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
     proj_matrix = la.zeros((dh, dim), exact)
     proj_matrix[:, dn:] = la.eye(dh, exact)
     proj = LieAlgebraMap(total, sd.base_target(), proj_matrix, name="projection")
-    if not validate_hom(proj, tol.scaled(10.0)):
-        raise CrossCheckError("assembled projection fails the homomorphism check")
+    _check_cross("projection homomorphism", proj.hom_defect(), 0.0, tol, _hom_scale(proj))
 
     tau_proj = tension(proj, tol)
     idm = LieAlgebraMap.identity(sd.base_domain(), sd.base_target())
     expected = tension(idm, tol) - action_trace_vector(sd)
-    _check_cross("projection tension vs splitting identity",
-                 la.norm(la.to_float(tau_proj) - la.to_float(expected)),
-                 1.0 + la.norm(tau_proj) + la.norm(expected), tol)
+    _check_cross("projection tension vs splitting identity", tau_proj, expected, tol)
     return total, proj
 
 
@@ -381,8 +372,8 @@ def tension_coordinate_system(base_domain: EuclideanLieAlgebra,
     b = conn @ g2 - u1 @ g2
     x = la.solve_linear(g2, b, tol)
     direct = tension(LieAlgebraMap.identity(base_domain, base_target), tol)
-    _check_cross("tension coordinate system vs direct tension",
-                 la.norm(la.to_float(x) - la.to_float(direct)), 1.0 + la.norm(direct), tol)
+    _check_cross("tension coordinate system vs direct tension", x, direct, tol,
+                 1.0 + la.norm(direct))
     return g2, b, x
 
 

@@ -7,6 +7,7 @@ the trace rows over all n^2 entries of vec(J) and took one nullspace.  Both
 must give the same linear hull: in float mode up to a principal-angle sine
 of 1e-10, in exact mode as equal row spaces.
 """
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -60,7 +61,7 @@ def reference_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> np
     basis_vecs = la.nullspace(system, tol)
     eye_vec = la.eye(n, ela.exact).reshape(-1)
     _check_cross("identity operator in the harmonic-cone span",
-                 la.norm(la.span_residual(basis_vecs, eye_vec)), 1.0 + np.sqrt(n), tol)
+                 la.span_residual(basis_vecs, eye_vec), 0.0, tol, 1.0 + np.sqrt(n))
     return basis_vecs
 
 
@@ -277,3 +278,14 @@ def test_identity_check_still_guards_the_solver(exact, monkeypatch):
     monkeypatch.setattr(la, "nullspace", lambda m, tol: solve(m, tol)[:, :-1])
     with pytest.raises(CrossCheckError, match="identity operator"):
         harmonic_cone(ela)
+
+
+def test_dimension_check_refuses_counts_that_differ_by_one(monkeypatch):
+    """A cone one dimension too large fails the count check, whose message
+    names both counts."""
+    ela = get("heis3").ela
+    cone = harmonic_cone(ela)
+    monkeypatch.setattr(cone_module, "harmonic_cone",
+                        lambda e, tol: dataclasses.replace(cone, dimension=cone.dimension + 1))
+    with pytest.raises(CrossCheckError, match="measured 5, formula gives 4"):
+        harmonic_dimension_check(ela)

@@ -203,7 +203,7 @@ def check_condition_loop(sd):
         hi = sd.base.basis(i)
         for j in range(i + 1, dh):
             hj = sd.base.basis(j)
-            lhs = sd.rho_of(sd.base.bracket(hi, hj))
+            lhs = np.einsum("k,kij->ij", sd.base.bracket(hi, hj), sd.rho)
             comm = sd.rho[i] @ sd.rho[j] - sd.rho[j] @ sd.rho[i]
             rhs = comm - ker.ad(sd.omega[i, j])
             action_defect = max(action_defect, la.norm(la.to_float(lhs) - la.to_float(rhs)))
@@ -215,7 +215,8 @@ def check_condition_loop(sd):
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     ha, hb, hc = sd.base.basis(a), sd.base.basis(b), sd.base.basis(c)
                     total = total + sd.rho[a] @ sd.omega[b, c]
-                    total = total - sd.omega_of(sd.base.bracket(ha, hb), hc)
+                    total = total - np.einsum("i,j,ijk->k", sd.base.bracket(ha, hb), hc,
+                                              sd.omega)
                 cocycle_defect = max(cocycle_defect, la.norm(total))
     return action_defect, cocycle_defect
 

@@ -20,6 +20,8 @@ from lieharm import (
     second_fundamental,
 )
 
+from lieharm import _linalg as la
+from lieharm._linalg import Tolerance
 from lieharm.core import _check_cross
 
 from conftest import rand_pd, with_metric
@@ -206,8 +208,48 @@ def test_exact_euclidean_algebra_round_trip():
 
 def test_cross_check_allows_ten_thresholds_and_names_the_failure():
     limit = 10.0 * DEFAULT_TOL.threshold(2.0)
-    _check_cross("route pair", limit, 2.0, DEFAULT_TOL)
+    assert _check_cross("route pair", np.array([limit]), np.zeros(1), DEFAULT_TOL, 2.0) == limit
     with pytest.raises(CrossCheckError) as info:
-        _check_cross("route pair", 2.0 * limit, 2.0, DEFAULT_TOL)
+        _check_cross("route pair", np.array([2.0 * limit]), np.zeros(1), DEFAULT_TOL, 2.0)
     assert str(info.value) == (f"route pair: cross-check defect {2.0 * limit:.3e} "
                                f"(scale {2.0:.3e})")
+
+
+def test_cross_check_default_scale_and_returned_defect():
+    # defect |(3, -4)| = 5 at the default scale 1 + 3 + 4 = 8
+    first, second = np.array([3.0, 0.0]), np.array([0.0, 4.0])
+    assert _check_cross("route pair", first, second, Tolerance(0.0, 1.0 / 16.0)) == 5.0
+    with pytest.raises(CrossCheckError) as info:
+        _check_cross("route pair", first, second, Tolerance(0.0, 0.06))
+    assert str(info.value) == "route pair: cross-check defect 5.000e+00 (scale 8.000e+00)"
+
+
+def test_cross_check_requires_exact_routes_to_be_equal():
+    first = la.as_matrix([1, Fraction(2, 3)], exact=True)
+    assert _check_cross("route pair", first, first.copy(), DEFAULT_TOL) == 0.0
+    nudged = first + la.as_matrix([Fraction(1, 10**30), 0], exact=True)
+    with pytest.raises(CrossCheckError, match="route pair"):
+        _check_cross("route pair", first, nudged, DEFAULT_TOL)
+    # counts: a loose tolerance admits floats 4.0 vs 3.0, never ints 4 vs 3
+    loose = Tolerance(1.0, 1.0)
+    assert _check_cross("counts", 4.0, 3.0, loose) == 1.0
+    assert _check_cross("counts", 4, 4, loose) == 0.0
+    with pytest.raises(CrossCheckError, match="counts"):
+        _check_cross("counts", 4, 3, loose)
+
+
+def test_exact_jacobi_requires_every_cyclic_sum_to_vanish(rng):
+    """A float so3 under a random change of basis keeps Jacobi to rounding;
+    read entrywise as exact dyadics it is not a Lie algebra."""
+    c = get("so3").ela.alg.c
+    p = rng.normal(size=(3, 3))
+    moved = np.einsum("ai,bj,abl,kl->ijk", p, p, c, np.linalg.inv(p)).tolist()
+    LieAlgebra.from_tensor(moved)
+    alg = LieAlgebra.from_tensor(moved, exact=True, validate=False)
+    assert 0.0 < jacobi_defect(alg) < DEFAULT_TOL.threshold()
+    assert not check_jacobi(alg)
+    with pytest.raises(StructureError):
+        LieAlgebra.from_tensor(moved, exact=True)
+    for name in ("e1", "heis3", "sl2", "so3", "nilp5", "abelian", "e2flat", "aff2solv"):
+        exact = get(name, exact=True).ela.alg
+        assert check_jacobi(exact) and jacobi_defect(exact) == 0.0

@@ -26,7 +26,7 @@ from lieharm import (
     tension,
     tension_coordinate_system,
 )
-from lieharm import _linalg as la, semidirect
+from lieharm import _linalg as la, maps, semidirect
 from lieharm._linalg import DEFAULT_TOL, Tolerance
 from lieharm.core import CrossCheckError
 from lieharm.maps import LieAlgebraMap
@@ -74,6 +74,20 @@ def test_tangent_exact_mode():
     assert total.exact
     tau = tension(proj)
     assert list(tau) == [Fraction(0), Fraction(2)]  # -U for [e,f]=2e
+
+
+@pytest.mark.parametrize("factor,raises", [(1.0, False), (2.0, True)])
+def test_projection_homomorphism_check_allows_ten_thresholds(factor, raises, monkeypatch):
+    """The assembled projection's bracket defect may reach ten thresholds at
+    the homomorphism scale of the projection, and no more."""
+    monkeypatch.setattr(LieAlgebraMap, "hom_defect",
+                        lambda m: factor * 10.0 * DEFAULT_TOL.threshold(maps._hom_scale(m)))
+    data = tangent_semidirect(get("e1").ela)
+    if raises:
+        with pytest.raises(CrossCheckError, match="projection homomorphism"):
+            build_semidirect(data)
+    else:
+        build_semidirect(data)
 
 
 def test_inner_action_condition_holds_by_construction(rng):
