@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output schema, round-trips."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from lieharm.cli import main
 
 from conftest import rand_pd
 
+DATA = Path(__file__).parent / "data"
 
 HEIS_DOC = {
     "name": "heis3",
@@ -125,6 +127,17 @@ def test_catalog_listing_and_suite(capsys):
 
     rc, _, err = run(capsys, ["catalog", "nosuch"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["catalog"], "catalog_seed0.txt"),
+    (["--format", "json", "catalog"], "catalog_seed0.json"),
+])
+def test_catalog_report_matches_the_golden_bytes(capsys, argv, golden):
+    """The suite report for seed 0, text and json, byte for byte."""
+    rc, out, err = run(capsys, argv)
+    assert rc == 0 and err == ""
+    assert out.encode() == (DATA / golden).read_bytes()
 
 
 def test_exact_mode_round_trip(tmp_path, capsys):
