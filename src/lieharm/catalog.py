@@ -406,12 +406,13 @@ def _entry_checks(rec: _Recorder, name: str, entry: CatalogEntry, tol: Tolerance
 
 
 def _catalog_entry(name: str, label: Optional[str] = None, **params):
-    """The suite check that builds ``get(name, **params)`` and recomputes its
-    stored quantities, reported under ``label`` (default: the entry name)."""
+    """The suite check that builds ``get(name, **params)``, exactly in an
+    exact run, and recomputes its stored quantities, reported under
+    ``label`` (default: the entry name)."""
     label = label or name
 
-    def check(rec, rng, tol, seed):
-        _entry_checks(rec, label, get(name, **params), tol)
+    def check(rec, title, rng, tol, seed, exact):
+        _entry_checks(rec, label, get(name, exact=exact, **params), tol)
 
     return f"{label}: catalog entry checks", check
 
@@ -423,62 +424,51 @@ def _unit_normal_to_first(gram: np.ndarray) -> np.ndarray:
     return v / np.sqrt(v @ gram @ v)
 
 
-def _check_e1_exact(rec, rng, tol, seed):
+def _check_e1_exact(rec, title, rng, tol, seed, exact):
     a = Fraction(3, 2)
-    exact_e1 = get("e1", a=a, exact=True)
-    u = exact_e1.ela.unimodular_vector(tol)
-    rec.add("e1 exact mode: metric dual of the bracket trace is -a f",
-            f"(0, {-a})", f"({u[0]}, {u[1]})",
+    u = get("e1", a=a, exact=True).ela.unimodular_vector(tol)
+    rec.add(title, f"(0, {-a})", f"({u[0]}, {u[1]})",
             la.is_exact(u) and u[0] == 0 and u[1] == -a)
 
 
-def _check_e1_characters(rec, rng, tol, seed):
-    e1 = get("e1", a=1.3).ela
-    line = EuclideanLieAlgebra(
-        LieAlgebra.from_brackets(1, {}, name="line"), InnerProduct.identity(1))
+def _check_e1_characters(rec, title, rng, tol, seed, exact):
+    e1, line = get("e1", a=1.3).ela, get("abelian", n=1).ela
     ok_b, ok_h = True, False
     for _ in range(5):
-        xi = np.array([[0.0, rng.normal()]])
-        cls = classify(LieAlgebraMap(e1, line, xi), tol)
-        ok_b &= cls.flags["biharmonic"]
-        ok_h |= cls.flags["harmonic"]
-    rec.add("e1 characters: biharmonic yet not harmonic",
-            "biharmonic=True harmonic=False",
+        flags = classify(LieAlgebraMap(e1, line, np.array([[0.0, rng.normal()]])), tol).flags
+        ok_b &= flags["biharmonic"]
+        ok_h |= flags["harmonic"]
+    rec.add(title, "biharmonic=True harmonic=False",
             f"biharmonic={ok_b} harmonic={ok_h}", ok_b and not ok_h)
 
 
-def _check_e1_factor_maps(rec, rng, tol, seed):
+def _check_e1_factor_maps(rec, title, rng, tol, seed, exact):
     """Factor maps e -> 0, f -> q f' between 2-dim non-abelian algebras:
     biharmonic, not harmonic."""
     ok = True
     for _ in range(5):
-        a = rng.uniform(0.5, 2.0)
-        src = get("e1", a=a).ela
+        src = get("e1", a=rng.uniform(0.5, 2.0)).ela
         g2 = _random_gram(rng, 2)
         tgt = get("e1", a=rng.uniform(0.5, 2.0), gram=g2).ela
-        q = rng.uniform(0.5, 2.0)
-        fprime = _unit_normal_to_first(g2)
         xi = np.zeros((2, 2))
-        xi[:, 1] = q * fprime
-        cls = classify(LieAlgebraMap(src, tgt, xi), tol)
-        ok &= cls.flags["biharmonic"] and not cls.flags["harmonic"]
-    rec.add("factor maps between 2-dim non-abelian algebras: biharmonic, "
-            "not harmonic", "True", str(ok), ok)
+        xi[:, 1] = rng.uniform(0.5, 2.0) * _unit_normal_to_first(g2)
+        flags = classify(LieAlgebraMap(src, tgt, xi), tol).flags
+        ok &= flags["biharmonic"] and not flags["harmonic"]
+    rec.equal(title, True, ok)
 
 
-def _check_e1_no_parallel_vector(rec, rng, tol, seed):
+def _check_e1_no_parallel_vector(rec, title, rng, tol, seed, exact):
     ok = True
     for _ in range(5):
         ela = get("e1", a=rng.uniform(0.5, 2.0), gram=_random_gram(rng, 2)).ela
         stacked = ela.levi_civita().table.transpose(0, 2, 1).reshape(-1, ela.dim)
         ok &= la.nullspace(stacked, tol).shape[1] == 0
-    rec.add("2-dim non-abelian: no nonzero parallel vector", "True", str(ok), ok)
+    rec.equal(title, True, ok)
 
 
-def _check_ricci_form(rec, rng, tol, seed):
+def _check_ricci_form(rec, title, rng, tol, seed, exact):
     worst = 0.0
-    for ent in ("e1", "e2flat", "so3"):
-        ela = get(ent).ela if ent != "so3" else get("so3", alphas=(1.0, 2.0, 3.0)).ela
+    for ela in (get("e1").ela, get("e2flat").ela, get("so3", alphas=(1.0, 2.0, 3.0)).ela):
         der = np.asarray(ela.alg.derived_subspace(), dtype=float)
         comp = la.nullspace(der.T @ np.asarray(ela.gram, dtype=float), tol) \
             if der.shape[1] else np.eye(ela.dim)
@@ -492,91 +482,90 @@ def _check_ricci_form(rec, rng, tol, seed):
                 ela.ad_star(u), dtype=float)
             rhs = -0.25 * float(np.trace(s @ s))
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    rec.small("Ricci form equals -tr((ad_u + ad_u*)^2)/4 off the derived "
-              "subspace", worst, 1e-8)
+    rec.small(title, worst, 1e-8)
 
 
-def _check_nonpositive_target(rec, rng, tol, seed):
+def _harmonic_iff_biharmonic(rec, title, maps, tol):
+    """One row: every map of ``maps`` is harmonic exactly when biharmonic."""
     ok = True
+    for m in maps:
+        flags = classify(m, tol).flags
+        ok &= flags["harmonic"] == flags["biharmonic"]
+    rec.equal(title, True, ok)
+
+
+def _check_nonpositive_target(rec, title, rng, tol, seed, exact):
     heis = get("heis3").ela
     e1 = get("e1", a=1.0, gram=_random_gram(rng, 2)).ela
-    for _ in range(10):
-        w = rng.normal(size=2)
-        xi = np.zeros((2, 3))
-        xi[:, 1] = rng.normal() * w
-        xi[:, 2] = rng.normal() * w
-        cls = classify(LieAlgebraMap(heis, e1, xi), tol)
-        ok &= cls.flags["harmonic"] == cls.flags["biharmonic"]
-    rec.add("unimodular source, non-positively-curved 2-dim target: "
-            "harmonic iff biharmonic", "True", str(ok), ok)
+
+    def maps():
+        for _ in range(10):
+            w = rng.normal(size=2)
+            xi = np.zeros((2, 3))
+            xi[:, 1] = rng.normal() * w
+            xi[:, 2] = rng.normal() * w
+            yield LieAlgebraMap(heis, e1, xi)
+
+    _harmonic_iff_biharmonic(rec, title, maps(), tol)
 
 
-def _check_nilpotent_target(rec, rng, tol, seed):
-    ok = True
-    for _ in range(10):
-        src = get("heis3", gram=_random_gram(rng, 3)).ela
-        tgt = get("heis3", gram=_random_gram(rng, 3)).ela
-        auto = exp_adjoint(src, rng.normal(size=3), tol)
-        m = LieAlgebraMap(src, tgt, auto.matrix)
-        cls = classify(m, tol)
-        ok &= cls.flags["harmonic"] == cls.flags["biharmonic"]
-    rec.add("unimodular source, 2-step-nilpotent target: harmonic iff "
-            "biharmonic", "True", str(ok), ok)
+def _check_nilpotent_target(rec, title, rng, tol, seed, exact):
+    def maps():
+        for _ in range(10):
+            src = get("heis3", gram=_random_gram(rng, 3)).ela
+            tgt = get("heis3", gram=_random_gram(rng, 3)).ela
+            yield LieAlgebraMap(src, tgt, exp_adjoint(src, rng.normal(size=3), tol).matrix)
+
+    _harmonic_iff_biharmonic(rec, title, maps(), tol)
 
 
-def _check_biinvariant_target(rec, rng, tol, seed):
-    round_so3 = get("so3").ela
-    worst_t2, worst_t = 0.0, 0.0
-    for _ in range(5):
-        u = rng.normal(size=3)
-        xi = np.zeros((3, 1))
-        xi[:, 0] = u
-        line = EuclideanLieAlgebra(
-            LieAlgebra.from_brackets(1, {}, name="line"), InnerProduct.identity(1))
-        m = LieAlgebraMap(line, round_so3, xi)
+def _vanishing_target(rec, label, maps, tol):
+    """Two rows named after ``label``: over ``maps``, whose target forces
+    biharmonicity, the bitension vanishes, and so does the tension (every
+    source here is unimodular)."""
+    worst_t2 = worst_t = 0.0
+    for m in maps:
         worst_t2 = max(worst_t2, la.norm(bitension(m, tol)))
         worst_t = max(worst_t, la.norm(tension(m, tol)))
-        src = get("so3", alphas=tuple(rng.uniform(0.5, 2.0, size=3))).ela
-        auto = exp_adjoint(src, rng.normal(size=3), tol)
-        m2 = LieAlgebraMap(src, round_so3, auto.matrix)
-        worst_t2 = max(worst_t2, la.norm(bitension(m2, tol)))
-        worst_t = max(worst_t, la.norm(tension(m2, tol)))
-    rec.small("bi-invariant target: bitension vanishes", worst_t2, 1e-8)
-    rec.small("bi-invariant target, unimodular source: tension vanishes",
-              worst_t, 1e-8)
+    rec.small(f"{label}: bitension vanishes", worst_t2, 1e-8)
+    rec.small(f"{label}, unimodular source: tension vanishes", worst_t, 1e-8)
 
 
-def _check_abelian_target(rec, rng, tol, seed):
+def _check_biinvariant_target(rec, title, rng, tol, seed, exact):
+    round_so3, line = get("so3").ela, get("abelian", n=1).ela
+
+    def maps():
+        for _ in range(5):
+            yield LieAlgebraMap(line, round_so3, rng.normal(size=(3, 1)))
+            src = get("so3", alphas=tuple(rng.uniform(0.5, 2.0, size=3))).ela
+            yield LieAlgebraMap(src, round_so3, exp_adjoint(src, rng.normal(size=3), tol).matrix)
+
+    _vanishing_target(rec, "bi-invariant target", maps(), tol)
+
+
+def _check_abelian_target(rec, title, rng, tol, seed, exact):
     ab2 = get("abelian", n=2, gram=_random_gram(rng, 2)).ela
     heis = get("heis3", gram=_random_gram(rng, 3)).ela
-    worst_t2, worst_t = 0.0, 0.0
-    for _ in range(5):
-        xi = rng.normal(size=(2, 3))
-        xi[:, 0] = 0.0          # kill the derived direction (z first)
-        m = LieAlgebraMap(heis, ab2, xi)
-        worst_t2 = max(worst_t2, la.norm(bitension(m, tol)))
-        worst_t = max(worst_t, la.norm(tension(m, tol)))
-    rec.small("abelian target: bitension vanishes", worst_t2, 1e-8)
-    rec.small("abelian target, unimodular source: tension vanishes",
-              worst_t, 1e-8)
+
+    def maps():
+        for _ in range(5):
+            xi = rng.normal(size=(2, 3))
+            xi[:, 0] = 0.0          # kill the derived direction (z first)
+            yield LieAlgebraMap(heis, ab2, xi)
+
+    _vanishing_target(rec, "abelian target", maps(), tol)
 
 
-def _check_nilp5_minimal(rec, rng, tol, seed):
+def _check_nilp5_minimal(rec, title, rng, tol, seed, exact):
+    basis = np.eye(5)[:, get("nilp5").expected["minimal_subalgebra"]]
     worst = 0.0
-    idx = get("nilp5").expected["minimal_subalgebra"]
     for _ in range(5):
-        ela = get("nilp5", gram=_random_gram(rng, 5)).ela
-        basis = np.zeros((5, len(idx)))
-        for k, i in enumerate(idx):
-            basis[i, k] = 1.0
-        sub = Subalgebra(ela, basis, tol)
-        _, mean = second_fundamental(sub, tol)
-        worst = max(worst, la.norm(mean))
-    rec.small("nilp5 codimension-one subalgebra: mean curvature vanishes",
-              worst, 1e-8)
+        sub = Subalgebra(get("nilp5", gram=_random_gram(rng, 5)).ela, basis, tol)
+        worst = max(worst, la.norm(second_fundamental(sub, tol)[1]))
+    rec.small(title, worst, 1e-8)
 
 
-def _check_heis_conjugation(rec, rng, tol, seed):
+def _check_heis_conjugation(rec, title, rng, tol, seed, exact):
     heis = get("heis3").ela
     ok = True
     for _ in range(50):
@@ -586,11 +575,10 @@ def _check_heis_conjugation(rec, rng, tol, seed):
         form = np.asarray(automorphism_trace_form(adj, tol), dtype=float)
         central = la.norm(heis.ad(u)) <= tol.threshold(1.0 + la.norm(u))
         ok &= (la.norm(form) <= 1e-9) == central
-    rec.add("2-step nilpotent: conjugation covector vanishes iff the "
-            "exponent is central", "True", str(ok), ok)
+    rec.equal(title, True, ok)
 
 
-def _check_sl2_residuals(rec, rng, tol, seed):
+def _check_sl2_residuals(rec, title, rng, tol, seed, exact):
     ok = True
     for _ in range(10):
         m = rng.normal(size=(2, 2))
@@ -609,11 +597,10 @@ def _check_sl2_residuals(rec, rng, tol, seed):
             automorphism_trace_form(Automorphism(ent.ela, adj), tol),
             dtype=float)
         ok &= np.allclose(res, form, atol=1e-8 * (1 + la.norm(form)))
-    rec.add("split-simple residuals equal the conjugation covector "
-            "components", "True", str(ok), ok)
+    rec.equal(title, True, ok)
 
 
-def _check_tangent_data(rec, rng, tol, seed):
+def _check_tangent_data(rec, title, rng, tol, seed, exact):
     for base, unimod in (("heis3", True), ("e1", False)):
         entry = get("tangent", base=base)
         proj = entry.extras["projection"]
@@ -626,69 +613,58 @@ def _check_tangent_data(rec, rng, tol, seed):
                   f"unimodular", unimod, cls.flags["biharmonic"])
 
 
-def _check_splitting_identity(rec, rng, tol, seed):
+def _check_splitting_identity(rec, title, rng, tol, seed, exact):
     for _ in range(3):
         ker = get("heis3", gram=_random_gram(rng, 3)).ela
-        base = LieAlgebra.from_brackets(
-            2, {(0, 1): [rng.uniform(0.5, 2.0), 0.0]}, name="e1")
+        base = get("e1", a=rng.uniform(0.5, 2.0)).ela.alg
         sd = sm.inner_action_data(
             ker, base, InnerProduct.of(_random_gram(rng, 2)),
             InnerProduct.of(_random_gram(rng, 2)), rng.normal(size=(3, 2)),
             tol=tol)
         sm.build_semidirect(sd, tol)   # raises if the identity fails
-    rec.add("constructed submersions satisfy tau(proj) = tau(Id) - H_rho",
-            "True", "True", True)
+    rec.equal(title, True, True)
 
 
-def _check_composed_submersion(rec, rng, tol, seed):
-    base = get("e1", a=1.1).ela
-    sd1 = sm.tangent_semidirect(base)
-    total1, proj1 = sm.build_semidirect(sd1, tol)
-    sd2 = sm.tangent_semidirect(total1)
-    total2, proj2 = sm.build_semidirect(sd2, tol)
-    defect = check_composition(proj1, proj2, tol)
-    rec.small("tension of a composed submersion splits along the factors",
-              defect, 1e-8)
+def _check_composed_submersion(rec, title, rng, tol, seed, exact):
+    total1, proj1 = sm.build_semidirect(sm.tangent_semidirect(get("e1", a=1.1).ela), tol)
+    _, proj2 = sm.build_semidirect(sm.tangent_semidirect(total1), tol)
+    rec.small(title, check_composition(proj1, proj2, tol), 1e-8)
 
 
-def _check_harmonic_recipe(rec, rng, tol, seed):
+def _check_harmonic_recipe(rec, title, rng, tol, seed, exact):
+    e1 = get("e1").ela
     ok = True
     for k in range(3):
         res = sm.build_harmonic_submersion(
-            LieAlgebra.from_brackets(2, {(0, 1): [1.0, 0.0]}, name="e1"),
-            InnerProduct.identity(2), InnerProduct.of(_random_gram(rng, 2)),
+            e1.alg, e1.inner, InnerProduct.of(_random_gram(rng, 2)),
             get("aff2solv", gram=_random_gram(rng, 3)).ela,
             budget=10, seed=seed + k, tol=tol)
         ok &= res.classification.flags["harmonic"]
-    rec.add("harmonic-submersion recipe: certified harmonic", "True",
-            str(ok), ok)
+    rec.equal(title, True, ok)
 
 
-def _check_flat_target_recipe(rec, rng, tol, seed):
+def _check_flat_target_recipe(rec, title, rng, tol, seed, exact):
     flat = get("e2flat").ela
     res = sm.build_flat_target_submersion(
         flat, get("aff2solv").ela, budget=20, seed=seed, tol=tol)
     flags = res.classification.flags
-    rec.add("flat-target recipe: certified biharmonic",
-            "biharmonic=True", f"biharmonic={flags['biharmonic']} "
+    rec.add(title, "biharmonic=True", f"biharmonic={flags['biharmonic']} "
             f"harmonic={flags['harmonic']}", flags["biharmonic"])
 
 
-def _check_kahler_self_map(rec, rng, tol, seed):
+def _check_kahler_self_map(rec, title, rng, tol, seed, exact):
     e1 = get("e1", a=1.0).ela
-    j = np.array([[0.0, -1.0], [1.0, 0.0]])
-    ks = KahlerStructure(e1, j)
-    ok = check_kahler(ks, tol)
-    idm = LieAlgebraMap.identity(e1, e1)
-    cls = classify(idm, tol)
-    rec.add("Kahler structure validates; holomorphic self-map is harmonic",
-            "True", str(ok and cls.flags["harmonic"]),
-            ok and cls.flags["harmonic"])
+    ok = check_kahler(KahlerStructure(e1, np.array([[0.0, -1.0], [1.0, 0.0]])), tol)
+    harmonic = classify(LieAlgebraMap.identity(e1, e1), tol).flags["harmonic"]
+    rec.equal(title, True, ok and harmonic)
 
 
-#: The suite, in report order: ``(title, check)`` pairs.  Every check draws
-#: from one shared generator, so the order fixes the samples; a check that
-#: raises is reported as one failed entry under its title.
+#: The suite, in report order: ``(title, check)`` pairs.  Each check is
+#: called as ``check(rec, title, rng, tol, seed, exact)`` and records a
+#: single row under ``title``, or several rows under names of its own.
+#: Every check draws from one shared generator, so the order fixes the
+#: samples; a check that raises is reported as one failed entry under its
+#: title.
 _CHECKS: Tuple[Tuple[str, Callable], ...] = (
     _catalog_entry("e1"),
     _catalog_entry("heis3"),
@@ -725,16 +701,18 @@ _CHECKS: Tuple[Tuple[str, Callable], ...] = (
 )
 
 
-def run_verification_suite(tol: Tolerance = DEFAULT_TOL, seed: int = 0
-                           ) -> SuiteReport:
+def run_verification_suite(tol: Tolerance = DEFAULT_TOL, seed: int = 0,
+                           exact: bool = False) -> SuiteReport:
     """Recompute every stored catalog quantity plus the cross-module
-    identities, returning a machine-readable pass/fail report.  Failures are
-    report entries, never exceptions."""
+    identities, returning a machine-readable pass/fail report.  With
+    ``exact`` the catalog entries are built in exact rational arithmetic;
+    the other checks run in float mode either way.  Failures are report
+    entries, never exceptions."""
     rec = _Recorder()
     rng = np.random.default_rng(seed)
     for title, check in _CHECKS:
         try:
-            check(rec, rng, tol, seed)
+            check(rec, title, rng, tol, seed, exact)
         except Exception as exc:  # a crash is itself a failed check
             rec.add(title, "no exception", f"{exc!r} at {_crash_site(exc)}", False)
     return SuiteReport(checks=tuple(rec.checks))

@@ -251,7 +251,7 @@ def cmd_catalog(args) -> int:
             text.append(f"  {k}: {v}")
         _emit(args, doc, text)
         return 0
-    report = cat.run_verification_suite(tol, seed=args.seed)
+    report = cat.run_verification_suite(tol, seed=args.seed, exact=args.exact)
     doc = report.to_dict()
     text = []
     for c in report.checks:

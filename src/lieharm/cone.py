@@ -236,7 +236,7 @@ def harmonic_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> Con
     a, b, u, pos = _sym_coordinates(n, ela.exact)
     x_gram = ela.gram[a, b] if ela.exact else ela.gram[a, b] / u
     _check_cross("identity operator in the harmonic-cone span",
-                 la.kernel_residual(basis, x_gram), 0.0, tol, 1.0 + la.norm(ela.gram))
+                 la.kernel_residual(basis, x_gram), 0, tol, 1.0 + la.norm(ela.gram))
     if not ela.exact:
         basis *= u[:, None]                     # coordinate units, in place
     sym = basis.T[:, pos].reshape(basis.shape[1], n, n)

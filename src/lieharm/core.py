@@ -61,12 +61,13 @@ def _check_cross(name: str, first, second, tol: Tolerance, scale: float | None =
     """Compare two independent routes to one quantity and return their defect
     ``|first - second|``.
 
-    Exact routes (Fraction arrays or Python ints) must be equal; float routes
-    may differ by at most ten thresholds at ``scale``, by default
-    ``1 + |first| + |second|``.  Otherwise :class:`CrossCheckError` is raised.
+    Exact routes (Fraction arrays or Python ints; an exact scalar stands for
+    an array of that value) must be equal; float routes may differ by at most
+    ten thresholds at ``scale``, by default ``1 + |first| + |second|``.
+    Otherwise :class:`CrossCheckError` is raised.
     """
     exact = _is_exact_route(first) and _is_exact_route(second)
-    if exact and np.array_equal(first, second):
+    if exact and not np.any(first - second):
         return 0.0
     defect = la.norm(la.to_float(first) - la.to_float(second))
     if scale is None:
@@ -248,14 +249,13 @@ def check_jacobi(alg: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
     return jacobi_defect(alg) <= tol.threshold(scale)
 
 
-def _closure_defect(c, basis, residual) -> float:
-    """Largest norm of ``residual(basis, [b_i, b_j])`` over column pairs
-    i < j, the brackets from one pair table (0.0 without pairs)."""
-    k = basis.shape[1]
-    if k < 2:
-        return 0.0
-    ii, jj = la.strict_pairs(k)
-    return la.max_row_norm(residual(basis, la.pair_table(c, basis, basis)[ii, jj].T).T)
+def _closure_residual(c, basis, residual) -> np.ndarray:
+    """``residual(basis, [b_i, b_j])`` for every ordered column pair, one row
+    each, the brackets from one pair table (no rows without columns)."""
+    k, n = basis.shape[1], c.shape[-1]
+    if k == 0:
+        return basis.T
+    return residual(basis, la.pair_table(c, basis, basis).reshape(k * k, n).T).T
 
 
 @dataclass(frozen=True)
@@ -455,8 +455,9 @@ class EuclideanLieAlgebra:
         sym = c.transpose(0, 2, 1) + la.matmul(self.gram_inv, c, self.gram)
         stacked = sym.reshape(n, n * n).T   # column i: ad(e_i) + ad*(e_i)
         basis = la.nullspace(stacked, tol)
+        rows = _closure_residual(c, basis, la.kernel_residual)
         _check_cross("Killing directions are not bracket-closed",
-                     _closure_defect(c, basis, la.kernel_residual), 0.0, tol, 1.0 + la.norm(c))
+                     rows if self.exact else la.max_row_norm(rows), 0, tol, 1.0 + la.norm(c))
         self._killing[tol], = la._frozen(basis)
         return basis
 
@@ -537,7 +538,8 @@ class Subalgebra:
         if la.rank(np.asarray(b, dtype=float), self.tol) != b.shape[1]:
             raise StructureError("subalgebra basis columns are dependent")
         scale = 1.0 + la.norm(self.parent.alg.c) * la.norm(b) ** 2
-        if _closure_defect(self.parent.alg.c, b, la.span_residual) > 10 * self.tol.threshold(scale):
+        closure = la.max_row_norm(_closure_residual(self.parent.alg.c, b, la.span_residual))
+        if closure > 10 * self.tol.threshold(scale):
             raise StructureError("subspace is not closed under the bracket")
 
     @property
@@ -578,10 +580,12 @@ def second_fundamental(sub: Subalgebra, tol: Tolerance = DEFAULT_TOL):
     h = la.matmul(normal, products[..., None])[..., 0]
 
     induced = la.matmul(sub.induced().levi_civita().table, b.T)
-    tangential, induced = (la.to_float(x).reshape(k * k, n) for x in (products - h, induced))
-    defect = np.linalg.norm(tangential - induced, axis=1)
-    scale = 1.0 + np.linalg.norm(tangential, axis=1) + np.linalg.norm(induced, axis=1)
-    if k:
+    if parent.exact:
+        _check_cross("tangential Levi-Civita part", products - h, induced, tol)
+    elif k:
+        tangential, induced = (x.reshape(k * k, n) for x in (products - h, induced))
+        defect = np.linalg.norm(tangential - induced, axis=1)
+        scale = 1.0 + np.linalg.norm(tangential, axis=1) + np.linalg.norm(induced, axis=1)
         worst = np.argmax(defect - 10.0 * tol.rel * scale)
         _check_cross("tangential Levi-Civita part", tangential[worst], induced[worst], tol,
                      scale[worst])

@@ -279,16 +279,15 @@ class MapClassification:
     flags: Dict[str, bool]
 
 
-def classify(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL,
-             require_homomorphism: bool = True) -> MapClassification:
-    """Compute tension/bitension and decide the standard flags.
+def classify(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> MapClassification:
+    """Compute tension/bitension and decide the standard flags of a
+    homomorphism (:func:`require_hom` raises for any other map).
 
     Thresholds are tolerance times a scale built from the ingredients of
     each quantity, so the verdict is stable under rescaling the data.  A
     harmonic map is always reported biharmonic as well.
     """
-    if require_homomorphism:
-        require_hom(m, tol)
+    require_hom(m, tol)
     u_src, u_xi, tau = _tension_terms(m, tol)
     tau2, norms = _bitension_terms(m, tol, u_src, u_xi, tau)
 

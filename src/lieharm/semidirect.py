@@ -151,27 +151,24 @@ class ConditionReport:
         return self.ok
 
 
-def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
-    """Evaluate both compatibility equations on all basis tuples.
-
-    Never raises on a violation: returns a report with the measured
-    defects, truthy exactly when both equations hold within tolerance.
-    """
+def _compatibility_terms(sd: SemidirectData):
+    """Both compatibility equations on all basis tuples, each with its scale:
+    ``((lhs, rhs, scale), (cyclic, scale))`` with the action equation's two
+    sides ``rho([h_i, h_j])`` and ``[rho_i, rho_j] - ad_{omega(h_i, h_j)}`` as
+    rows over the pairs i < j, and the cocycle equation's cyclic sums, which
+    must vanish, as rows over the triples i < j < k."""
     dn, dh = sd.dim_kernel, sd.dim_base
     ker = sd.kernel
     rho, omega, ch = sd.rho, sd.omega, sd.base.c
 
-    # rho([h_i, h_j]) against [rho_i, rho_j] - ad_{omega(h_i, h_j)}, all pairs at once
     ii, jj = la.strict_pairs(dh)
     lhs = la.matmul(ch[ii, jj], rho.reshape(dh, dn * dn))
     rho_i, rho_j = rho[ii], rho[jj]
     ad_omega = la.matmul(omega[ii, jj], ker.alg.c.reshape(dn, dn * dn))       # [p, (x, k)]
     rhs = (la.matmul(rho_i, rho_j) - la.matmul(rho_j, rho_i)
            - ad_omega.reshape(-1, dn, dn).transpose(0, 2, 1))
-    action_defect = la.max_row_norm(
-        la.to_float(lhs) - la.to_float(rhs.reshape(-1, dn * dn)))
 
-    cocycle_defect = 0.0
+    cyclic = la.zeros((0, dn), sd.exact)
     if dh >= 3:
         # S[a,b,c] = rho_a omega(h_b, h_c) - omega([h_a, h_b], h_c); cyclic sums over i < j < k
         s = (la.matmul(omega.reshape(dh * dh, dn), rho.reshape(dh * dn, dn).T)
@@ -179,11 +176,23 @@ def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> Conditi
              - la.matmul(ch.reshape(dh * dh, dh), omega.reshape(dh, dh * dn))
              .reshape(dh, dh, dh, dn))
         ii, jj, kk = la.strict_triples(dh)
-        cocycle_defect = la.max_row_norm(s[ii, jj, kk] + s[jj, kk, ii] + s[kk, ii, jj])
+        cyclic = s[ii, jj, kk] + s[jj, kk, ii] + s[kk, ii, jj]
 
-    nrho, nom = la.norm(sd.rho), la.norm(sd.omega)
-    scale1 = 1.0 + la.norm(sd.base.c) * nrho + nrho ** 2 + la.norm(ker.alg.c) * nom
-    scale2 = 1.0 + nrho * nom + la.norm(sd.base.c) * nom
+    nrho, nom = la.norm(rho), la.norm(omega)
+    scale1 = 1.0 + la.norm(ch) * nrho + nrho ** 2 + la.norm(ker.alg.c) * nom
+    scale2 = 1.0 + nrho * nom + la.norm(ch) * nom
+    return (lhs, rhs.reshape(-1, dn * dn), scale1), (cyclic, scale2)
+
+
+def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
+    """Evaluate both compatibility equations on all basis tuples.
+
+    Never raises on a violation: returns a report with the measured
+    defects, truthy exactly when both equations hold within tolerance.
+    """
+    (lhs, rhs, scale1), (cyclic, scale2) = _compatibility_terms(sd)
+    action_defect = la.max_row_norm(la.to_float(lhs) - la.to_float(rhs))
+    cocycle_defect = la.max_row_norm(cyclic)
     ok = action_defect <= 10.0 * tol.threshold(scale1) and cocycle_defect <= 10.0 * tol.threshold(scale2)
     return ConditionReport(ok=bool(ok), action_defect=float(action_defect),
                            cocycle_defect=float(cocycle_defect))
@@ -240,6 +249,14 @@ def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
 # ---------------------------------------------------------------------------
 
 
+def _nonzero_rows(rows: np.ndarray, limit: float) -> np.ndarray:
+    """Indices of the rows (last axis) of ``rows`` that do not vanish: exact
+    rows with any nonzero entry, float rows with a norm above ``limit``."""
+    if la.is_exact(rows):
+        return np.flatnonzero((rows != 0).any(axis=-1))
+    return np.flatnonzero(np.linalg.norm(rows, axis=-1) > limit)
+
+
 def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
                       inner_domain: InnerProduct, inner_target: InnerProduct,
                       f_matrix, omega0=None,
@@ -249,8 +266,9 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
     matching this module's base-acts-on-kernel bracket).
 
     ``omega0`` must be valued in the kernel's center and closed under the
-    cyclic sum ``omega0([u,v], w)``; both are checked.  The resulting data
-    always satisfies the compatibility equations (asserted).
+    cyclic sum ``omega0([u,v], w)``; both are checked, exactly for exact
+    input.  The resulting data always satisfies the compatibility equations
+    (cross-checked).
     """
     dn, dh = kernel.dim, base.dim
     f = la.as_matrix(f_matrix, kernel.exact) if not isinstance(f_matrix, np.ndarray) else f_matrix
@@ -267,8 +285,8 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
         if skew > tol.threshold(1.0 + la.norm(om0)):
             raise ConstructionError("central twist is not antisymmetric")
         scale_c = 1.0 + la.norm(kernel.alg.c) * la.norm(om0)
-        ad_om0 = la.to_float(om0[ii, jj] @ kernel.alg.c.reshape(dn, dn * dn))   # ad_{omega0_ij}
-        off = np.flatnonzero(np.linalg.norm(ad_om0, axis=1) > tol.threshold(scale_c))
+        ad_om0 = om0[ii, jj] @ kernel.alg.c.reshape(dn, dn * dn)   # ad_{omega0_ij}
+        off = _nonzero_rows(ad_om0, tol.threshold(scale_c))
         if off.size:
             raise ConstructionError(
                 f"central twist value at base pair ({ii[off[0]]},{jj[off[0]]}) is not "
@@ -278,7 +296,7 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
         # T[a,b,c] = omega0([h_a, h_b], h_c); cyclic sums over a < b < c
         t = (base.c.reshape(dh * dh, dh) @ om0.reshape(dh, dh * dn)).reshape(dh, dh, dh, dn)
         a, b, c = la.strict_triples(dh)
-        if la.max_row_norm(t[a, b, c] + t[b, c, a] + t[c, a, b]) > tol.threshold(scale_d):
+        if _nonzero_rows(t[a, b, c] + t[b, c, a] + t[c, a, b], tol.threshold(scale_d)).size:
             raise ConstructionError(
                 "central twist is not closed under the cyclic sum"
             )
@@ -292,10 +310,9 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
     omega[jj, ii] = -val
     sd = SemidirectData(kernel=kernel, base=base, inner_domain=inner_domain,
                         inner_target=inner_target, rho=rho, omega=omega, tol=tol)
-    if not check_condition(sd, tol):
-        raise CrossCheckError(
-            "inner-action data unexpectedly fails the compatibility equations"
-        )
+    (lhs, rhs, scale1), (cyclic, scale2) = _compatibility_terms(sd)
+    _check_cross("inner-action data: action equation", lhs, rhs, tol, scale1)
+    _check_cross("inner-action data: cocycle equation", cyclic, 0, tol, scale2)
     return sd
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lieharm.catalog as catalog_module
 from lieharm import load_algebra
 from lieharm.cli import main
 
@@ -138,6 +139,24 @@ def test_catalog_report_matches_the_golden_bytes(capsys, argv, golden):
     rc, out, err = run(capsys, argv)
     assert rc == 0 and err == ""
     assert out.encode() == (DATA / golden).read_bytes()
+
+
+def test_exact_catalog_runs_exact_entries_with_the_float_report(capsys, monkeypatch):
+    """``--exact`` builds the ten catalog entries of the suite exactly (float
+    by default) and reports the same bytes as the float run."""
+    real = catalog_module._entry_checks
+    modes = []
+
+    def recording(rec, name, entry, tol):
+        modes.append(entry.ela.exact)
+        real(rec, name, entry, tol)
+
+    monkeypatch.setattr(catalog_module, "_entry_checks", recording)
+    for argv, exact in ((["catalog"], False), (["--exact", "catalog"], True)):
+        modes.clear()
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0 and modes == [exact] * 10
+        assert out.encode() == (DATA / "catalog_seed0.txt").read_bytes()
 
 
 def test_exact_mode_round_trip(tmp_path, capsys):

@@ -15,6 +15,7 @@ from lieharm import (
     Subalgebra,
     check_jacobi,
     get,
+    harmonic_cone,
     jacobi_defect,
     quotient_metric,
     second_fundamental,
@@ -236,6 +237,37 @@ def test_cross_check_requires_exact_routes_to_be_equal():
     assert _check_cross("counts", 4, 4, loose) == 0.0
     with pytest.raises(CrossCheckError, match="counts"):
         _check_cross("counts", 4, 3, loose)
+    # an exact zero stands for a zero array of any shape
+    block = la.zeros((2, 3), exact=True)
+    assert _check_cross("zero block", block, 0, DEFAULT_TOL) == 0.0
+    block[1, 2] = Fraction(1, 10**30)
+    with pytest.raises(CrossCheckError, match="zero block"):
+        _check_cross("zero block", block, 0, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_exact_cross_checks_are_decided_exactly(exact, monkeypatch):
+    """Routes 1e-12 apart pass the float rule and never the exact one: the
+    harmonic-cone identity residual, the Killing closure and the tangential
+    rows of the second fundamental form."""
+    nudge = Fraction(1, 10**12) if exact else 1e-12
+    residual, projector = la.kernel_residual, Subalgebra.tangential_projector
+    monkeypatch.setattr(la, "kernel_residual", lambda basis, vec: residual(basis, vec) + nudge)
+    monkeypatch.setattr(Subalgebra, "tangential_projector", lambda sub: projector(sub) + nudge)
+    heis, nilp = get("heis3", exact=exact).ela, get("nilp5", exact=exact).ela
+    hypersurface = Subalgebra(nilp, la.eye(5, exact)[:, [0, 1, 2, 4]])
+    cases = (("identity operator in the harmonic-cone span", 4,
+              lambda: harmonic_cone(heis).dimension),
+             ("Killing directions are not bracket-closed", 1,
+              lambda: heis.killing_subalgebra().shape[1]),
+             ("tangential Levi-Civita part", (4, 4, 5),
+              lambda: second_fundamental(hypersurface)[0].shape))
+    for name, value, call in cases:
+        if exact:
+            with pytest.raises(CrossCheckError, match=name):
+                call()
+        else:
+            assert call() == value
 
 
 def test_exact_jacobi_requires_every_cyclic_sum_to_vanish(rng):

@@ -90,6 +90,27 @@ def test_projection_homomorphism_check_allows_ten_thresholds(factor, raises, mon
         build_semidirect(data)
 
 
+@pytest.mark.parametrize("direction, equation", [
+    (1, "action equation"),     # ad of the nudge is nonzero
+    (0, "cocycle equation"),    # a central nudge keeps ad_omega, not the cyclic sum
+])
+def test_inner_action_data_cross_checks_the_assembled_twist(direction, equation, monkeypatch, rng):
+    """A nudge of omega(h_0, h_1) along the kernel's e_direction fails the
+    named compatibility equation (heis3 in the order (z, f, g) over aff2solv,
+    whose cyclic sum picks up 1 + beta times the nudge)."""
+    real = semidirect.SemidirectData
+
+    def nudged(**fields):
+        delta = np.zeros((3, 3, 3))
+        delta[0, 1, direction], delta[1, 0, direction] = 1e-3, -1e-3
+        return real(**{**fields, "omega": fields["omega"] + delta})
+
+    monkeypatch.setattr(semidirect, "SemidirectData", nudged)
+    with pytest.raises(CrossCheckError, match=f"^inner-action data: {equation}: "):
+        inner_action_data(get("heis3").ela, get("aff2solv").ela.alg, InnerProduct.identity(3),
+                          InnerProduct.identity(3), rng.normal(size=(3, 3)))
+
+
 def test_inner_action_condition_holds_by_construction(rng):
     kernel = with_metric(get("heis3").ela, rand_pd(rng, 3))
     base = two_dim_solvable(1.3)
@@ -805,6 +826,21 @@ def test_block_assembly_matches_bracket_dict_assembly_exact():
         expected = _dict_assembled_tensor(sd)
         assert total.alg.c.dtype == object
         assert np.array_equal(total.alg.c, expected)
+
+
+def test_inner_action_validates_an_exact_central_twist_exactly():
+    """A twist 1e-12 off the center, or 1e-12 from closed, passes the float
+    thresholds but is refused as input in exact mode (same base as below)."""
+    f = Fraction
+    base = LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, 1]}, exact=True)
+    kernel = get("heis3", exact=True).ela
+    ident = InnerProduct.identity(3, exact=True)
+    for (i, j, k), message in (((0, 1, 1), "center"), ((1, 2, 0), "cyclic sum")):
+        omega0 = la.zeros((3, 3, 3), exact=True)
+        omega0[i, j, k], omega0[j, i, k] = f(1, 10**12), f(-1, 10**12)
+        with pytest.raises(ConstructionError, match=message):
+            inner_action_data(kernel, base, ident, ident, la.zeros((3, 3), exact=True),
+                              omega0=omega0)
 
 
 def test_inner_action_rejects_central_twist_not_closed():
