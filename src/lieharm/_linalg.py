@@ -1,8 +1,8 @@
 """Small dense linear-algebra kernel with a float and an exact-rational mode.
 
-Every numerical decision the toolkit makes (ranks, nullspaces, definiteness,
-solvability) funnels through this module so that tolerance policy lives in
-exactly one place.
+Every rank, nullspace, definiteness and solvability decision funnels through
+this module, and every zero test through ``core._negligible``, so tolerance
+policy lives in those two places only.
 
 Float mode works on ``float64`` arrays and is backed by numpy/scipy
 factorizations.  Exact mode works on numpy object arrays whose entries are
@@ -34,10 +34,10 @@ class ExactModeUnsupported(LinAlgDomainError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair used by all rank/zero decisions.
+    """Absolute/relative tolerance pair of every float rank and zero decision.
 
-    A quantity x is treated as zero relative to a scale s when
-    ``|x| <= abs + rel * s``.
+    A float quantity x counts as zero relative to a scale s when ``|x| <=
+    abs + rel * s``; exact verdicts test for exact zero and never read it.
     """
 
     abs: float = 1e-9

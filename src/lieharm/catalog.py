@@ -26,6 +26,7 @@ from .core import (
     InnerProduct,
     LieAlgebra,
     Subalgebra,
+    _negligible,
     check_jacobi,
     second_fundamental,
 )
@@ -573,8 +574,8 @@ def _check_heis_conjugation(rec, title, rng, tol, seed, exact):
                                            rng.integers(0, 2)])
         adj = exp_adjoint(heis, u, tol)
         form = np.asarray(automorphism_trace_form(adj, tol), dtype=float)
-        central = la.norm(heis.ad(u)) <= tol.threshold(1.0 + la.norm(u))
-        ok &= (la.norm(form) <= 1e-9) == central
+        central = _negligible(heis.ad(u), tol, 1.0 + la.norm(u))
+        ok &= _negligible(form, tol, 0.0) == central
     rec.equal(title, True, ok)
 
 

@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "homomorphisms with left-invariant metrics.",
     )
     parser.add_argument("--tol", type=float, default=1e-9,
-                        help="numerical tolerance (default 1e-9)")
+                        help="tolerance of float verdicts (default 1e-9)")
     parser.add_argument("--exact", action="store_true",
                         help="exact rational arithmetic (inputs must be "
                              "integers or 'p/q' strings)")

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import _linalg as la
 from ._linalg import DEFAULT_TOL, Tolerance
-from .core import EuclideanLieAlgebra, _check_cross
+from .core import EuclideanLieAlgebra, _check_cross, _negligible
 from .maps import LieAlgebraMap, tension
 
 
@@ -63,11 +64,8 @@ class Automorphism:
             raise ConeError("automorphism matrix is singular")
         nphi = la.norm(self.matrix)
         scale = 1.0 + la.norm(self.base.alg.c) * (nphi + nphi ** 2)
-        d = self.defect()
-        if d > 100.0 * tol.threshold(scale):
-            raise ConeError(
-                f"matrix does not preserve the bracket (defect {d:.3e})"
-            )
+        if not _negligible(self.as_map()._hom_residual(), tol, scale, 100.0, la.max_row_norm):
+            raise ConeError(f"matrix does not preserve the bracket (defect {self.defect():.3e})")
 
     def as_map(self) -> LieAlgebraMap:
         """The operator as a self-map with equal source and target metric."""
@@ -145,7 +143,7 @@ def sl2_residuals(entries: Sequence[float], alphas: Sequence[float],
     if not (float(a1) > 0 and float(a2) > 0 and float(a3) > 0):
         raise ConeError("metric parameters must be positive")
     det = a * d - b * c
-    if abs(float(det) - 1.0) > tol.threshold(1.0 + abs(float(a * d)) + abs(float(b * c))):
+    if not _negligible(det - 1, tol, 1.0 + abs(float(a * d)) + abs(float(b * c)), norm=abs):
         raise ConeError(f"matrix determinant must be 1, got {float(det)!r}")
     a21, a31 = a2 / a1, a3 / a1
     a23, a32 = a2 / a3, a3 / a2
@@ -163,13 +161,8 @@ def sl2_residuals(entries: Sequence[float], alphas: Sequence[float],
         + a * c * (a ** 2 * a12 + 2 * c ** 2 * a32)
         + b * d * (b ** 2 * a13 + 2 * d ** 2)
     )
-    from fractions import Fraction
-
-    if any(isinstance(x, Fraction) for x in (r1, r2, r3)):
-        arr = np.empty(3, dtype=object)
-        arr[0], arr[1], arr[2] = r1, r2, r3
-        return arr
-    return np.array([r1, r2, r3], dtype=float)
+    exact = any(isinstance(x, Fraction) for x in (r1, r2, r3))
+    return np.array([r1, r2, r3], dtype=object if exact else float)
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +273,13 @@ def cone_membership(ela: EuclideanLieAlgebra, j, tol: Tolerance = DEFAULT_TOL) -
         raise ConeError(f"operator must be {n} x {n}")
     g = ela.gram
     gj = g @ jm
-    sym_defect = la.norm(la.to_float(gj) - la.to_float(gj).T)
-    if sym_defect > tol.threshold(1.0 + la.norm(g) * la.norm(jm)):
+    skew = gj - gj.T
+    if not _negligible(skew, tol, 1.0 + la.norm(g) * la.norm(jm)):
         raise ConeError(
-            f"operator is not symmetric w.r.t. the metric (defect {sym_defect:.3e})"
+            f"operator is not symmetric w.r.t. the metric (defect {la.norm(skew):.3e})"
         )
     # tr(J ad_k) against tr(ad_{J b_k}) for every k
-    residual = la.to_float(ela.alg.trace_pairing(jm) - ela.alg.ad_traces() @ jm)
-    worst = float(np.abs(residual).max(initial=0.0))
+    residual = ela.alg.trace_pairing(jm) - ela.alg.ad_traces() @ jm
     scale = 1.0 + la.norm(jm) * la.norm(ela.alg.c)
-    if worst > tol.threshold(scale):
-        return False
-    sym = (la.to_float(gj) + la.to_float(gj).T) / 2.0
-    if ela.exact:
-        return la.is_positive_definite(gj, tol)
-    return la.is_positive_definite(sym, tol)
+    return (_negligible(residual, tol, scale, norm=lambda r: np.abs(r).max(initial=0.0))
+            and la.is_positive_definite((gj + gj.T) / 2, tol))

@@ -54,7 +54,8 @@ class CrossCheckError(RuntimeError):
 
 
 def _is_exact_route(x) -> bool:
-    return isinstance(x, (int, Fraction)) or getattr(x, "dtype", None) == object
+    dtype = getattr(x, "dtype", None)      # arrays first: isinstance(x, Fraction) is slow
+    return dtype == object if dtype is not None else isinstance(x, (int, Fraction))
 
 
 def _check_cross(name: str, first, second, tol: Tolerance, scale: float | None = None) -> float:
@@ -69,7 +70,7 @@ def _check_cross(name: str, first, second, tol: Tolerance, scale: float | None =
     exact = _is_exact_route(first) and _is_exact_route(second)
     if exact and not np.any(first - second):
         return 0.0
-    defect = la.norm(la.to_float(first) - la.to_float(second))
+    defect = _float_gap(first, second)
     if scale is None:
         scale = 1.0 + la.norm(first) + la.norm(second)
     if exact or defect > 10.0 * tol.threshold(scale):
@@ -77,6 +78,20 @@ def _check_cross(name: str, first, second, tol: Tolerance, scale: float | None =
             f"{name}: cross-check defect {defect:.3e} (scale {scale:.3e})"
         )
     return defect
+
+
+def _float_gap(first, second, norm=la.norm) -> float:
+    """The float distance of two sides, each converted first (a reported defect)."""
+    return norm(la.to_float(first) - la.to_float(second))
+
+
+def _negligible(value, tol: Tolerance, scale: float, factor: float = 1.0, norm=la.norm) -> bool:
+    """Whether ``value`` counts as zero (the sibling of :func:`_check_cross`):
+    an exact value (a Fraction or int, or an object array) only when it is
+    zero, a float value when ``norm(value) <= factor * tol.threshold(scale)``."""
+    if _is_exact_route(value):
+        return not np.any(value)
+    return bool(norm(value) <= factor * tol.threshold(scale))
 
 
 @dataclass(frozen=True)
@@ -122,9 +137,10 @@ class LieAlgebra:
         arr = la.as_matrix(c, exact)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise StructureError("structure tensor must be n x n x n")
-        skew_defect = la.norm(np.asarray(arr, dtype=float) + np.asarray(arr, dtype=float).transpose(1, 0, 2))
-        if skew_defect > tol.threshold(1.0 + la.norm(arr)):
-            raise StructureError(f"structure tensor not antisymmetric (defect {skew_defect:.3e})")
+        num, d = la.numerators(arr)          # exact input is tested on integers
+        skew = num + num.transpose(1, 0, 2)
+        if not _negligible(skew, tol, 1.0 + la.norm(arr)):
+            raise StructureError(f"structure tensor not antisymmetric (defect {la.norm(skew) / d:.3e})")
         dim = arr.shape[0]
         fixed = la.zeros((dim, dim, dim), exact)
         ii, jj = la.strict_pairs(dim)
@@ -243,10 +259,9 @@ def _jacobi_sums(alg: LieAlgebra):
 def check_jacobi(alg: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ``alg`` satisfies the Jacobi identity: within tolerance for a
     float algebra, exactly (every cyclic sum zero) for an exact one."""
-    if alg.exact:
-        return alg.dim < 3 or not np.count_nonzero(_jacobi_sums(alg)[0])
-    scale = 1.0 + la.norm(alg.c) ** 2
-    return jacobi_defect(alg) <= tol.threshold(scale)
+    # the float sums arrive as squared norms, the exact ones as numerators
+    return alg.dim < 3 or _negligible(_jacobi_sums(alg)[0], tol, 1.0 + la.norm(alg.c) ** 2,
+                                      norm=lambda squares: math.sqrt(squares.max()))
 
 
 def _closure_residual(c, basis, residual) -> np.ndarray:
@@ -383,8 +398,7 @@ class EuclideanLieAlgebra:
         return self._unimodular
 
     def is_unimodular(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        u = self.unimodular_vector(tol)
-        return la.norm(u) <= tol.threshold(1.0 + la.norm(self.alg.c))
+        return _negligible(self.unimodular_vector(tol), tol, 1.0 + la.norm(self.alg.c))
 
     def levi_civita(self) -> "LeviCivitaProduct":
         # Only the table is memoized: a memoized product would refer back to
@@ -538,8 +552,8 @@ class Subalgebra:
         if la.rank(np.asarray(b, dtype=float), self.tol) != b.shape[1]:
             raise StructureError("subalgebra basis columns are dependent")
         scale = 1.0 + la.norm(self.parent.alg.c) * la.norm(b) ** 2
-        closure = la.max_row_norm(_closure_residual(self.parent.alg.c, b, la.span_residual))
-        if closure > 10 * self.tol.threshold(scale):
+        closure = _closure_residual(self.parent.alg.c, b, la.span_residual)
+        if not _negligible(closure, self.tol, scale, 10.0, la.max_row_norm):
             raise StructureError("subspace is not closed under the bracket")
 
     @property
@@ -611,7 +625,7 @@ def quotient_metric(ela: EuclideanLieAlgebra, ideal: Subalgebra,
     b, n = ideal.basis, ela.dim
     scale = 1.0 + la.norm(ela.alg.c) * (1.0 + la.norm(b)) ** 2
     moved = la.pair_table(ela.alg.c, la.eye(n, ela.exact), b).reshape(n * b.shape[1], n).T
-    if la.max_row_norm(la.span_residual(b, moved).T) > 10.0 * tol.threshold(scale):
+    if not _negligible(la.span_residual(b, moved).T, tol, scale, 10.0, la.max_row_norm):
         raise StructureError("subalgebra is not an ideal")
 
     comp = la.nullspace(b.T @ ela.gram, tol)  # complement: <b_i, .>_G = 0

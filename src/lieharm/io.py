@@ -41,7 +41,8 @@ import numpy as np
 
 from . import _linalg as la
 from ._linalg import DEFAULT_TOL, Tolerance
-from .core import EuclideanLieAlgebra, InnerProduct, LieAlgebra, MetricError, StructureError
+from .core import (EuclideanLieAlgebra, InnerProduct, LieAlgebra, MetricError, StructureError,
+                   _negligible)
 from .maps import LieAlgebraMap
 from .semidirect import SemidirectData, inner_action_data, tangent_semidirect
 
@@ -165,10 +166,9 @@ def algebra_from_doc(doc: dict, exact: bool = False,
         inner = InnerProduct.identity(dim, exact)
     else:
         gram = _parse_matrix(metric, (dim, dim), exact)
-        sym = la.norm(np.asarray(gram, dtype=float)
-                      - np.asarray(gram, dtype=float).T)
-        if sym > tol.threshold(1.0 + la.norm(gram)):
-            raise MetricError(f"metric is not symmetric (defect {sym:.3e})")
+        skew = gram - gram.T
+        if not _negligible(skew, tol, 1.0 + la.norm(gram)):
+            raise MetricError(f"metric is not symmetric (defect {la.norm(skew):.3e})")
         inner = InnerProduct(gram)
     return EuclideanLieAlgebra(alg, inner, name=name)
 

@@ -41,6 +41,8 @@ from .core import (
     EuclideanLieAlgebra,
     Subalgebra,
     _check_cross,
+    _float_gap,
+    _negligible,
     quotient_metric,
     second_fundamental,
 )
@@ -101,24 +103,26 @@ class LieAlgebraMap:
 
     def hom_defect(self) -> float:
         """max_{i<j} | xi[b_i, b_j] - [xi b_i, xi b_j] | over basis pairs."""
+        return la.max_row_norm(self._hom_residual())
+
+    def _hom_residual(self) -> np.ndarray:
+        """The rows xi[b_i, b_j] - [xi b_i, xi b_j] over basis pairs i < j."""
         ns, nt = self.source.dim, self.target.dim
-        if ns < 2:
-            return 0.0
         xi = self.matrix
         image = la.matmul(self.source.alg.c, xi.T)                      # [i, j, m]
         half = la.matmul(xi.T, self.target.alg.c.reshape(nt, nt * nt)).reshape(ns, nt, nt)
         pushed = la.matmul(xi.T, half)                                  # [i, j, m]
         ii, jj = la.strict_pairs(ns)
-        return la.max_row_norm((image - pushed)[ii, jj])
+        return (image - pushed)[ii, jj]
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
         return la.rank(la.to_float(self.matrix), tol)
 
 
 def validate_hom(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the matrix respects the brackets within tolerance."""
-    scale = _hom_scale(m)
-    return m.hom_defect() <= tol.threshold(scale)
+    """True when the matrix respects the brackets: within tolerance for a
+    float map, exactly for an exact one (the tolerance is not read)."""
+    return _negligible(m._hom_residual(), tol, _hom_scale(m), norm=la.max_row_norm)
 
 
 def _hom_scale(m: LieAlgebraMap) -> float:
@@ -128,12 +132,9 @@ def _hom_scale(m: LieAlgebraMap) -> float:
 
 def require_hom(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> None:
     """Raise :class:`MapError` (with the measured defect) unless a hom."""
-    defect = m.hom_defect()
-    if defect > tol.threshold(_hom_scale(m)):
-        raise MapError(
-            f"map {m.name or ''} is not a Lie algebra homomorphism "
-            f"(max bracket defect {defect:.3e})"
-        )
+    if not validate_hom(m, tol):
+        raise MapError(f"map {m.name or ''} is not a Lie algebra homomorphism "
+                       f"(max bracket defect {m.hom_defect():.3e})")
 
 
 def compose(outer: LieAlgebraMap, inner: LieAlgebraMap,
@@ -143,11 +144,8 @@ def compose(outer: LieAlgebraMap, inner: LieAlgebraMap,
     mid_a, mid_b = inner.target, outer.source
     if mid_a.dim != mid_b.dim:
         raise MapError("composition: middle dimensions differ")
-    c_diff = la.norm(la.to_float(mid_a.alg.c) - la.to_float(mid_b.alg.c))
-    g_diff = la.norm(la.to_float(mid_a.gram) - la.to_float(mid_b.gram))
-    if c_diff > tol.threshold(1.0 + la.norm(mid_a.alg.c)) or g_diff > tol.threshold(
-        1.0 + la.norm(mid_a.gram)
-    ):
+    if not (_negligible(mid_a.alg.c - mid_b.alg.c, tol, 1.0 + la.norm(mid_a.alg.c))
+            and _negligible(mid_a.gram - mid_b.gram, tol, 1.0 + la.norm(mid_a.gram))):
         raise MapError("composition: middle Euclidean algebras differ")
     return LieAlgebraMap(
         inner.source,
@@ -240,29 +238,35 @@ def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
 # ---------------------------------------------------------------------------
 
 
+def _immersion_sides(m: LieAlgebraMap):
+    return la.matmul(m.matrix.T, m.target.gram, m.matrix), m.source.gram
+
+
 def riemannian_immersion_defect(m: LieAlgebraMap) -> float:
     """|| xi^T G2 xi - G1 ||: zero iff xi preserves inner products."""
-    return la.norm(
-        la.to_float(la.matmul(m.matrix.T, m.target.gram, m.matrix)) - la.to_float(m.source.gram)
-    )
+    return _float_gap(*_immersion_sides(m))
 
 
 def is_riemannian_immersion(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     scale = 1.0 + la.norm(m.source.gram) + la.norm(m.matrix) ** 2 * la.norm(m.target.gram)
-    return riemannian_immersion_defect(m) <= tol.threshold(scale)
+    return _negligible(np.subtract(*_immersion_sides(m)), tol, scale)
+
+
+def _submersion_sides(m: LieAlgebraMap):
+    return _frame_weights(m), m.target.gram_inv
 
 
 def riemannian_submersion_defect(m: LieAlgebraMap) -> float:
     """|| xi G1^-1 xi^T - G2^-1 ||: zero iff xi is isometric on the
     orthogonal complement of its kernel (and onto)."""
-    return la.norm(la.to_float(_frame_weights(m)) - la.to_float(m.target.gram_inv))
+    return _float_gap(*_submersion_sides(m))
 
 
 def is_riemannian_submersion(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     scale = 1.0 + la.norm(m.target.gram_inv) + la.norm(m.matrix) ** 2 * la.norm(
         m.source.gram_inv
     )
-    return riemannian_submersion_defect(m) <= tol.threshold(scale)
+    return _negligible(np.subtract(*_submersion_sides(m)), tol, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +287,9 @@ def classify(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> MapClassificatio
     """Compute tension/bitension and decide the standard flags of a
     homomorphism (:func:`require_hom` raises for any other map).
 
-    Thresholds are tolerance times a scale built from the ingredients of
-    each quantity, so the verdict is stable under rescaling the data.  A
+    Float flags compare with tolerance times a scale built from the
+    ingredients of each quantity, so the verdict is stable under rescaling
+    the data; exact flags test for exact zero, whatever the tolerance.  A
     harmonic map is always reported biharmonic as well.
     """
     require_hom(m, tol)
@@ -292,15 +297,13 @@ def classify(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> MapClassificatio
     tau2, norms = _bitension_terms(m, tol, u_src, u_xi, tau)
 
     h_scale = 1.0 + la.norm(m.matrix) * la.norm(u_src) + la.norm(u_xi)
-    harmonic = la.norm(tau) <= tol.threshold(h_scale)
+    harmonic = _negligible(tau, tol, h_scale)
     b_scale = 1.0 + norms["second_order"] + norms["curvature"] + norms["drift"]
-    biharmonic = harmonic or la.norm(tau2) <= tol.threshold(b_scale)
-
     flags = {
-        "harmonic": bool(harmonic),
-        "biharmonic": bool(biharmonic),
-        "riemannian_immersion": bool(is_riemannian_immersion(m, tol)),
-        "riemannian_submersion": bool(is_riemannian_submersion(m, tol)),
+        "harmonic": harmonic,
+        "biharmonic": harmonic or _negligible(tau2, tol, b_scale),
+        "riemannian_immersion": is_riemannian_immersion(m, tol),
+        "riemannian_submersion": is_riemannian_submersion(m, tol),
     }
     return MapClassification(tension=tau, bitension=tau2, flags=flags)
 
@@ -394,45 +397,45 @@ class KahlerStructure:
             raise MapError("complex operator must be a dim x dim matrix")
 
 
+def _kahler_sides(ks: KahlerStructure):
+    """Both sides of J^2 = -Id, J^T G J = G and A_{e_i} J = J A_{e_i} (rows)."""
+    base, j = ks.base, ks.operator
+    n = base.dim
+    ops = base.levi_civita().table.transpose(0, 2, 1)      # ops[i] = A_{e_i}
+    return ((j @ j, -la.eye(n, la.is_exact(j))), (j.T @ base.gram @ j, base.gram),
+            (la.matmul(ops, j).reshape(n, n * n), la.matmul(j, ops).reshape(n, n * n)))
+
+
 def kahler_defects(ks: KahlerStructure) -> Dict[str, float]:
     """Defects of the three defining identities: J^2 = -Id, metric
     invariance <Ju, Jv> = <u, v>, and parallelism A_u(Jv) = J(A_u v)."""
-    base, j = ks.base, ks.operator
-    n = base.dim
-    complex_defect = la.norm(la.to_float(j @ j) + np.eye(n))
-    metric_defect = la.norm(la.to_float(j.T @ base.gram @ j) - la.to_float(base.gram))
-    ops = base.levi_civita().table.transpose(0, 2, 1)      # ops[i] = A_{e_i}
-    parallel = la.max_row_norm(
-        (la.to_float(la.matmul(ops, j)) - la.to_float(la.matmul(j, ops))).reshape(n, n * n))
-    return {
-        "complex_defect": float(complex_defect),
-        "metric_defect": float(metric_defect),
-        "parallel_defect": float(parallel),
-    }
+    complex_, metric, parallel = _kahler_sides(ks)
+    return {"complex_defect": _float_gap(*complex_), "metric_defect": _float_gap(*metric),
+            "parallel_defect": _float_gap(*parallel, la.max_row_norm)}
 
 
 def check_kahler(ks: KahlerStructure, tol: Tolerance = DEFAULT_TOL) -> bool:
-    d = kahler_defects(ks)
+    complex_, metric, parallel = (np.subtract(*sides) for sides in _kahler_sides(ks))
     nj = la.norm(ks.operator)
     ng = la.norm(ks.base.gram)
     na = la.norm(ks.base.levi_civita().table)
     return (
-        d["complex_defect"] <= tol.threshold(1.0 + nj ** 2)
-        and d["metric_defect"] <= tol.threshold(1.0 + nj ** 2 * ng)
-        and d["parallel_defect"] <= tol.threshold(1.0 + na * nj)
+        _negligible(complex_, tol, 1.0 + nj ** 2)
+        and _negligible(metric, tol, 1.0 + nj ** 2 * ng)
+        and _negligible(parallel, tol, 1.0 + na * nj, norm=la.max_row_norm)
     )
 
 
 def holomorphic_defect(m: LieAlgebraMap, j_source: np.ndarray,
                        j_target: np.ndarray) -> float:
     """|| xi J_source - J_target xi ||."""
-    return la.norm(la.to_float(m.matrix @ j_source) - la.to_float(j_target @ m.matrix))
+    return _float_gap(m.matrix @ j_source, j_target @ m.matrix)
 
 
 def is_holomorphic(m: LieAlgebraMap, j_source: np.ndarray, j_target: np.ndarray,
                    tol: Tolerance = DEFAULT_TOL) -> bool:
     scale = 1.0 + la.norm(m.matrix) * (la.norm(j_source) + la.norm(j_target))
-    return holomorphic_defect(m, j_source, j_target) <= tol.threshold(scale)
+    return _negligible(m.matrix @ j_source - j_target @ m.matrix, tol, scale)
 
 
 # ---------------------------------------------------------------------------

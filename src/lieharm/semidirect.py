@@ -44,6 +44,8 @@ from .core import (
     InnerProduct,
     LieAlgebra,
     _check_cross,
+    _float_gap,
+    _negligible,
 )
 from .maps import LieAlgebraMap, MapClassification, _hom_scale, classify, tension
 
@@ -92,17 +94,15 @@ class SemidirectData:
             raise ConstructionError(f"action tensor must be {dh} x {dn} x {dn}")
         if self.omega.shape != (dh, dh, dn):
             raise ConstructionError(f"twist tensor must be {dh} x {dh} x {dn}")
-        skew = la.norm(la.to_float(self.omega) + la.to_float(self.omega).transpose(1, 0, 2))
-        if skew > self.tol.threshold(1.0 + la.norm(self.omega)):
-            raise ConstructionError(f"twist is not antisymmetric (defect {skew:.3e})")
+        skew = self.omega + self.omega.transpose(1, 0, 2)
+        if not _negligible(skew, self.tol, 1.0 + la.norm(self.omega)):
+            raise ConstructionError(f"twist is not antisymmetric (defect {la.norm(skew):.3e})")
         for k in range(dh):
-            d = derivation_defect(self.kernel, self.rho[k])
+            rows = _derivation_residual(self.kernel, self.rho[k])
             scale = 1.0 + la.norm(self.rho[k]) * la.norm(self.kernel.alg.c)
-            if d > 10.0 * self.tol.threshold(scale):
-                raise ConstructionError(
-                    f"action of base vector {k} is not a derivation "
-                    f"(defect {d:.3e})"
-                )
+            if not _negligible(rows, self.tol, scale, 10.0, la.max_row_norm):
+                raise ConstructionError(f"action of base vector {k} is not a derivation "
+                                        f"(defect {la.max_row_norm(rows):.3e})")
 
     @property
     def dim_kernel(self) -> int:
@@ -127,16 +127,19 @@ class SemidirectData:
 
 def derivation_defect(ela: EuclideanLieAlgebra, op) -> float:
     """max || D[u,v] - [Du,v] - [u,Dv] || over basis pairs."""
+    return la.max_row_norm(_derivation_residual(ela, op))
+
+
+def _derivation_residual(ela: EuclideanLieAlgebra, op) -> np.ndarray:
+    """The rows D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] over pairs i < j."""
     n = ela.dim
-    if n < 2:
-        return 0.0
     c = ela.alg.c
     op_t = np.asarray(op).T
     d = (la.matmul(c, op_t)                                         # D[e_i, e_j]
          - la.matmul(op_t, c.reshape(n, n * n)).reshape(n, n, n)    # [D e_i, e_j]
          - la.matmul(op_t, c))                                      # [e_i, D e_j]
     ii, jj = la.strict_pairs(n)
-    return la.max_row_norm(d[ii, jj])
+    return d[ii, jj]
 
 
 @dataclass(frozen=True)
@@ -188,14 +191,15 @@ def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> Conditi
     """Evaluate both compatibility equations on all basis tuples.
 
     Never raises on a violation: returns a report with the measured
-    defects, truthy exactly when both equations hold within tolerance.
+    defects, truthy exactly when both equations hold, within tolerance for
+    float data and exactly for exact data (the tolerance is not read).
     """
     (lhs, rhs, scale1), (cyclic, scale2) = _compatibility_terms(sd)
-    action_defect = la.max_row_norm(la.to_float(lhs) - la.to_float(rhs))
-    cocycle_defect = la.max_row_norm(cyclic)
-    ok = action_defect <= 10.0 * tol.threshold(scale1) and cocycle_defect <= 10.0 * tol.threshold(scale2)
-    return ConditionReport(ok=bool(ok), action_defect=float(action_defect),
-                           cocycle_defect=float(cocycle_defect))
+    action = lhs - rhs
+    ok = (_negligible(action, tol, scale1, 10.0, la.max_row_norm)
+          and _negligible(cyclic, tol, scale2, 10.0, la.max_row_norm))
+    return ConditionReport(ok=ok, action_defect=_float_gap(lhs, rhs, la.max_row_norm),
+                           cocycle_defect=la.max_row_norm(cyclic))
 
 
 def action_trace_vector(sd: SemidirectData) -> np.ndarray:
@@ -249,14 +253,6 @@ def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_rows(rows: np.ndarray, limit: float) -> np.ndarray:
-    """Indices of the rows (last axis) of ``rows`` that do not vanish: exact
-    rows with any nonzero entry, float rows with a norm above ``limit``."""
-    if la.is_exact(rows):
-        return np.flatnonzero((rows != 0).any(axis=-1))
-    return np.flatnonzero(np.linalg.norm(rows, axis=-1) > limit)
-
-
 def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
                       inner_domain: InnerProduct, inner_target: InnerProduct,
                       f_matrix, omega0=None,
@@ -281,13 +277,12 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
         om0 = omega0
         if om0.shape != (dh, dh, dn):
             raise ConstructionError(f"central twist must be {dh} x {dh} x {dn}")
-        skew = la.norm(la.to_float(om0) + la.to_float(om0).transpose(1, 0, 2))
-        if skew > tol.threshold(1.0 + la.norm(om0)):
+        if not _negligible(om0 + om0.transpose(1, 0, 2), tol, 1.0 + la.norm(om0)):
             raise ConstructionError("central twist is not antisymmetric")
         scale_c = 1.0 + la.norm(kernel.alg.c) * la.norm(om0)
         ad_om0 = om0[ii, jj] @ kernel.alg.c.reshape(dn, dn * dn)   # ad_{omega0_ij}
-        off = _nonzero_rows(ad_om0, tol.threshold(scale_c))
-        if off.size:
+        off = [p for p, row in enumerate(ad_om0) if not _negligible(row, tol, scale_c)]
+        if off:
             raise ConstructionError(
                 f"central twist value at base pair ({ii[off[0]]},{jj[off[0]]}) is not "
                 f"in the kernel's center"
@@ -296,7 +291,8 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
         # T[a,b,c] = omega0([h_a, h_b], h_c); cyclic sums over a < b < c
         t = (base.c.reshape(dh * dh, dh) @ om0.reshape(dh, dh * dn)).reshape(dh, dh, dh, dn)
         a, b, c = la.strict_triples(dh)
-        if _nonzero_rows(t[a, b, c] + t[b, c, a] + t[c, a, b], tol.threshold(scale_d)).size:
+        if not _negligible(t[a, b, c] + t[b, c, a] + t[c, a, b], tol, scale_d,
+                           norm=la.max_row_norm):
             raise ConstructionError(
                 "central twist is not closed under the cyclic sum"
             )
@@ -378,10 +374,9 @@ def tension_coordinate_system(base_domain: EuclideanLieAlgebra,
     with ``x`` the solution, cross-checked against the direct tension
     computation.
     """
-    if base_domain.alg is not base_target.alg:
-        diff = la.norm(la.to_float(base_domain.alg.c) - la.to_float(base_target.alg.c))
-        if diff > tol.threshold(1.0 + la.norm(base_domain.alg.c)):
-            raise ConstructionError("both sides must share the structure constants")
+    if base_domain.alg is not base_target.alg and not _negligible(
+            base_domain.alg.c - base_target.alg.c, tol, 1.0 + la.norm(base_domain.alg.c)):
+        raise ConstructionError("both sides must share the structure constants")
     g2 = base_target.gram
     # <B_u v, w>_2 via the Koszul polarization of the target metric
     u1 = base_domain.unimodular_vector(tol)
@@ -416,8 +411,8 @@ def _derived_rows(base: LieAlgebra, dn: int) -> np.ndarray:
 
 def _traceless_space(tvec: np.ndarray, dh: int, tol: Tolerance) -> np.ndarray:
     """Flattened embeddings F with ``t . F = 0`` (all of them when t vanishes)."""
-    traced = float(tvec @ tvec) > tol.threshold(1.0) ** 2
-    hom_basis = la.nullspace(tvec.reshape(1, -1), tol) if traced else np.eye(len(tvec))
+    hom_basis = np.eye(len(tvec)) if _negligible(tvec, tol, 1.0) else la.nullspace(
+        tvec.reshape(1, -1), tol)
     return np.kron(hom_basis, np.eye(dh))
 
 
@@ -440,7 +435,7 @@ def _search(kernel: EuclideanLieAlgebra, base: LieAlgebra, inner_domain: InnerPr
         f = f.reshape(kernel.dim, base.dim)
         try:
             sd = inner_action_data(kernel, base, inner_domain, inner_target, f, tol=tol)
-            if twist_free and la.norm(sd.omega) > tol.threshold(1.0 + la.norm(f) ** 2):
+            if twist_free and not _negligible(sd.omega, tol, 1.0 + la.norm(f) ** 2):
                 raise ConstructionError("sampled embedding produced a twist")
             result = _certify(sd, tol)
         except (ConstructionError, CrossCheckError) as exc:
@@ -475,14 +470,13 @@ def build_harmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
     _, _, tau_id = tension_coordinate_system(dom, tgt, tol)
     rhs = la.to_float(inner_domain.gram) @ la.to_float(tau_id)   # <h_k, tau(Id)>_1
     tvec = _kernel_trace_covector(kernel)
-    tnorm2 = float(tvec @ tvec)
-    traced = tnorm2 > tol.threshold(1.0) ** 2
-    if not traced and la.norm(rhs) > tol.threshold(1.0 + la.norm(tau_id)):
+    traced = not _negligible(tvec, tol, 1.0)
+    if not traced and not _negligible(rhs, tol, 1.0 + la.norm(tau_id)):
         raise InfeasibleSearch(
             "every inner derivation of the kernel is traceless but the "
             "identity tension is nonzero; no inner action can match it"
         )
-    f0 = np.outer(tvec / tnorm2, rhs).reshape(-1) if traced else np.zeros(kernel.dim * base.dim)
+    f0 = np.outer(tvec / (tvec @ tvec), rhs).reshape(-1) if traced else np.zeros(kernel.dim * base.dim)
     return _search(kernel, base, inner_domain, inner_target, f0,
                    _traceless_space(tvec, base.dim, tol), flag="harmonic", first_scale=None,
                    budget=budget, seed=seed, tol=tol)
@@ -579,7 +573,7 @@ def build_flat_target_submersion(base_flat: EuclideanLieAlgebra,
     _require_float(base_flat, kernel)
     worst = base_flat.max_curvature_norm()
     scale = 1.0 + la.norm(base_flat.alg.c) ** 2 * la.norm(base_flat.gram)
-    if worst > tol.threshold(scale):
+    if not _negligible(worst, tol, scale, norm=abs):
         raise ConstructionError(f"base metric is not flat (max curvature norm {worst:.3e})")
     dh, dn = base_flat.dim, kernel.dim
     unimodular = kernel.is_unimodular(tol)

@@ -210,3 +210,11 @@ def test_tol_flag_loosens_hom_acceptance(tmp_path, capsys):
     assert rc_strict == 1
     rc_loose, *_ = run(capsys, ["--tol", "1e-4", "analyze", map_path])
     assert rc_loose == 0
+    # the tolerance governs float verdicts only: a rational near-hom stays one
+    write(tmp_path, "heis_q.json", {**HEIS_DOC, "brackets": [{"i": 1, "j": 2, "coeffs": [[0, 1]]}]})
+    xi_q = [["500001/500000" if i == j else "1/500000" for j in range(3)] for i in range(3)]
+    exact_path = write(tmp_path, "near_q.json", {
+        "source": "heis_q.json", "target": "heis_q.json", "xi": xi_q,
+    })
+    rc_exact, out, _ = run(capsys, ["--exact", "--tol", "1e-4", "analyze", exact_path])
+    assert rc_exact == 1 and "not a Lie algebra homomorphism" in out

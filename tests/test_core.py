@@ -272,10 +272,15 @@ def test_exact_cross_checks_are_decided_exactly(exact, monkeypatch):
 
 def test_exact_jacobi_requires_every_cyclic_sum_to_vanish(rng):
     """A float so3 under a random change of basis keeps Jacobi to rounding;
-    read entrywise as exact dyadics it is not a Lie algebra."""
+    read entrywise as exact dyadics it is not a Lie algebra.  Its two halves
+    agree only to rounding too, so exactly it is not even antisymmetric
+    until it is made so."""
     c = get("so3").ela.alg.c
     p = rng.normal(size=(3, 3))
-    moved = np.einsum("ai,bj,abl,kl->ijk", p, p, c, np.linalg.inv(p)).tolist()
+    raw = np.einsum("ai,bj,abl,kl->ijk", p, p, c, np.linalg.inv(p))
+    with pytest.raises(StructureError, match="antisymmetric"):
+        LieAlgebra.from_tensor(raw.tolist(), exact=True, validate=False)
+    moved = ((raw - raw.transpose(1, 0, 2)) / 2).tolist()
     LieAlgebra.from_tensor(moved)
     alg = LieAlgebra.from_tensor(moved, exact=True, validate=False)
     assert 0.0 < jacobi_defect(alg) < DEFAULT_TOL.threshold()

@@ -1,0 +1,359 @@
+"""One zero test for every yes/no predicate: exact data decide by exact zero.
+
+Each predicate and validation site hands its residual to ``core._negligible``.
+An exact residual counts as zero only when it is zero, so a perturbation by
+``Fraction(1, 10**k)`` flips every exact verdict, however small; float
+verdicts keep their tolerance, so the same perturbation of float data by
+``1e-12`` is accepted.
+"""
+import ast
+import functools
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lieharm
+import lieharm._linalg as la
+from lieharm import (
+    Automorphism,
+    ConeError,
+    ConstructionError,
+    EuclideanLieAlgebra,
+    InnerProduct,
+    KahlerStructure,
+    LieAlgebra,
+    LieAlgebraMap,
+    MapError,
+    MetricError,
+    SemidirectData,
+    StructureError,
+    Subalgebra,
+    build_semidirect,
+    check_condition,
+    check_jacobi,
+    check_kahler,
+    classify,
+    compose,
+    cone_membership,
+    get,
+    inner_action_data,
+    is_holomorphic,
+    is_riemannian_immersion,
+    is_riemannian_submersion,
+    quotient_metric,
+    require_hom,
+    sl2_residuals,
+    tangent_semidirect,
+    tension_coordinate_system,
+    validate_hom,
+)
+from lieharm.io import algebra_from_doc
+
+
+def _mat(rows, eps):
+    return la.as_matrix(rows, isinstance(eps, Fraction))
+
+
+@functools.lru_cache(maxsize=None)
+def _entry(name, exact, **params):
+    return get(name, exact=exact, **params).ela
+
+
+def _heis(eps, gram=None):
+    exact = isinstance(eps, Fraction)
+    return _entry("heis3", exact) if gram is None else get("heis3", exact=exact, gram=gram).ela
+
+
+def _line(eps):
+    return _entry("abelian", isinstance(eps, Fraction), n=1)
+
+
+def _e1(eps):
+    return _entry("e1", isinstance(eps, Fraction))
+
+
+def _accepts(call, error, match):
+    """False when ``call()`` raises ``error`` with a message matching
+    ``match`` (the site under test refused), True when it returns."""
+    try:
+        call()
+    except error as exc:
+        if not re.search(match, str(exc)):
+            raise
+        return False
+    return True
+
+
+def _tangent_heis(eps):
+    sd = tangent_semidirect(_heis(eps))
+    rho = sd.rho.copy()
+    rho[0, 0, 1] += eps
+    return SemidirectData(sd.kernel, sd.base, sd.inner_domain, sd.inner_target, rho, sd.omega)
+
+
+def _jacobi(eps):
+    c = _heis(eps).alg.c.copy()
+    c[0, 1, 1], c[1, 0, 1] = eps, -eps         # [z, f] = eps f breaks Jacobi
+    return check_jacobi(LieAlgebra.from_tensor(c, exact=isinstance(eps, Fraction),
+                                               validate=False))
+
+
+def _antisymmetry(eps):
+    c = _heis(eps).alg.c.copy()
+    c[2, 1, 0] += eps
+    return _accepts(lambda: LieAlgebra.from_tensor(c, exact=isinstance(eps, Fraction)),
+                    StructureError, "not antisymmetric")
+
+
+def _unimodular(eps):
+    c = _heis(eps).alg.c.copy()
+    c[0, 1, 1], c[1, 0, 1] = eps, -eps         # tr ad_z = eps
+    return EuclideanLieAlgebra(LieAlgebra(c), _heis(eps).inner).is_unimodular()
+
+
+def _closure(eps):
+    basis = _mat([[0, 1], [1, 0], [0, eps]], eps)     # f, z + eps g
+    return _accepts(lambda: Subalgebra(_heis(eps), basis), StructureError, "not closed")
+
+
+def _ideal(eps):
+    heis = _heis(eps)
+    sub = Subalgebra(heis, _mat([[1], [eps], [0]], eps))  # z + eps f
+    return _accepts(lambda: quotient_metric(heis, sub), StructureError, "not an ideal")
+
+
+def _near_character(eps):
+    return LieAlgebraMap(_heis(eps), _line(eps), _mat([[eps, 1, 0]], eps))
+
+
+def _factor_map(eps):
+    """e -> 0, f -> f + eps e on the plane algebra: a homomorphism, biharmonic
+    exactly at eps = 0, never harmonic."""
+    e1 = _e1(eps)
+    return LieAlgebraMap(e1, e1, _mat([[0, eps], [0, 1]], eps))
+
+
+def _plane_character(eps):
+    """The character onto the line of the plane algebra [e, f] = eps e."""
+    exact = isinstance(eps, Fraction)
+    alg = LieAlgebra.from_brackets(2, {(0, 1): [eps, 0]}, exact=exact)
+    plane = EuclideanLieAlgebra(alg, InnerProduct.identity(2, exact))
+    return LieAlgebraMap(plane, _line(eps), _mat([[0, 1]], eps))
+
+
+def _identity_to(eps):
+    """The identity of heis3 onto the metric diag(1, 1, 1 + eps)."""
+    target = _heis(eps, gram=_mat(np.diag([1, 1, 1 + eps]), eps))
+    return LieAlgebraMap(_heis(eps), target, la.eye(3, isinstance(eps, Fraction)))
+
+
+def _compose(eps):
+    first, second = _identity_to(0 * eps), _identity_to(eps)
+    return _accepts(lambda: compose(LieAlgebraMap.identity(second.target), first), MapError,
+                    "middle Euclidean algebras differ")
+
+
+def _complex_structure(eps):
+    return _mat([[0, -1 + eps], [1, 0]], eps)
+
+
+def _kahler(eps):
+    e1 = _e1(eps)
+    return check_kahler(KahlerStructure(e1, _complex_structure(eps)))
+
+
+def _holomorphic(eps):
+    e1 = _e1(eps)
+    return is_holomorphic(LieAlgebraMap.identity(e1), _complex_structure(0 * eps),
+                          _complex_structure(eps))
+
+
+def _twist_antisymmetry(eps):
+    sd = tangent_semidirect(_e1(eps))
+    omega = sd.omega.copy()
+    omega[0, 1, 0] += eps
+    return _accepts(lambda: SemidirectData(sd.kernel, sd.base, sd.inner_domain,
+                                           sd.inner_target, sd.rho, omega), ConstructionError,
+                    "twist is not antisymmetric")
+
+
+def _derivation(eps):
+    exact = isinstance(eps, Fraction)
+    point = LieAlgebra(la.zeros((1, 1, 1), exact))
+    rho = _mat([np.diag([eps, 0, 0])], eps)            # z -> eps z is no derivation
+    one = InnerProduct.identity(1, exact)
+    return _accepts(lambda: SemidirectData(_heis(eps), point, one, one, rho,
+                                           la.zeros((1, 1, 3), exact)), ConstructionError,
+                    "not a derivation")
+
+
+def _central_twist(eps, entries, match):
+    """Inner action of a 3-dim base with [h0, h1] = h1, [h0, h2] = h2 on
+    heis3, F = 0, with the twist ``omega0[i, j] = value`` for each entry."""
+    exact = isinstance(eps, Fraction)
+    base = LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (0, 2): [0, 0, 1]}, exact=exact)
+    om0 = la.zeros((3, 3, 3), exact)
+    for (i, j), value in entries.items():
+        om0[i, j] = _mat(value, eps)
+    one = InnerProduct.identity(3, exact)
+    return _accepts(lambda: inner_action_data(_heis(eps), base, one, one, la.zeros((3, 3), exact),
+                                              omega0=om0), ConstructionError, match)
+
+
+def _coordinate_system(eps):
+    exact = isinstance(eps, Fraction)
+    e1 = get("e1", exact=exact).ela
+    moved = LieAlgebra(e1.alg.c + _mat([[[0, 0], [0, 0]], [[eps, 0], [0, 0]]], eps))
+    other = EuclideanLieAlgebra(moved, e1.inner)
+    return _accepts(lambda: tension_coordinate_system(e1, other), ConstructionError,
+                    "share the structure constants")
+
+
+def _automorphism(eps):
+    heis = _heis(eps)
+    phi = _mat(np.diag([1 + eps, 1, 1]), eps)
+    return _accepts(lambda: Automorphism(heis, phi).validate(), ConeError,
+                    "preserve the bracket")
+
+
+def _sl2_det(eps):
+    one = Fraction(1) if isinstance(eps, Fraction) else 1.0
+    return _accepts(lambda: sl2_residuals((one + eps, 0 * one, 0 * one, one), (1, 2, 3)),
+                    ConeError, "determinant")
+
+
+def _cone_symmetry(eps):
+    j = _mat([[1, eps, 0], [0, 1, 0], [0, 0, 1]], eps)
+    return _accepts(lambda: cone_membership(_heis(eps), j), ConeError, "w.r.t. the metric")
+
+
+def _cone_trace(eps):
+    return cone_membership(_heis(eps), _mat([[1, 0, eps], [0, 1, 0], [eps, 0, 1]], eps))
+
+
+def _metric_symmetry(eps):
+    doc = {"name": "e1", "dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [[0, 1]]}],
+           "metric": [[1, str(eps) if isinstance(eps, Fraction) else eps], [0, 1]]}
+    return _accepts(lambda: algebra_from_doc(doc, exact=isinstance(eps, Fraction)), MetricError,
+                    "metric is not symmetric")
+
+
+#: site -> verdict(eps): True when the site finds its quantity zero (or
+#: accepts its input), for a perturbation ``eps`` of exactly-zero data
+SITES = {
+    "check_jacobi": _jacobi,
+    "from_tensor antisymmetry": _antisymmetry,
+    "is_unimodular": _unimodular,
+    "Subalgebra closure": _closure,
+    "quotient_metric ideal": _ideal,
+    "validate_hom": lambda eps: validate_hom(_near_character(eps)),
+    "require_hom": lambda eps: _accepts(lambda: require_hom(_near_character(eps)), MapError,
+                                         "not a Lie algebra homomorphism"),
+    "classify harmonic": lambda eps: classify(_plane_character(eps)).flags["harmonic"],
+    "classify biharmonic": lambda eps: classify(_factor_map(eps)).flags["biharmonic"],
+    "is_riemannian_immersion": lambda eps: is_riemannian_immersion(_identity_to(eps)),
+    "is_riemannian_submersion": lambda eps: is_riemannian_submersion(_identity_to(eps)),
+    "compose": _compose,
+    "check_kahler": _kahler,
+    "is_holomorphic": _holomorphic,
+    "SemidirectData twist": _twist_antisymmetry,
+    "SemidirectData derivation": _derivation,
+    "check_condition": lambda eps: check_condition(_tangent_heis(eps)).ok,
+    "inner_action_data antisymmetry": lambda eps: _central_twist(
+        eps, {(0, 1): [1, 0, 0], (1, 0): [-1 + eps, 0, 0]}, "not antisymmetric"),
+    "inner_action_data center": lambda eps: _central_twist(
+        eps, {(0, 1): [0, eps, 0], (1, 0): [0, -eps, 0]}, "center"),
+    "inner_action_data cocycle": lambda eps: _central_twist(
+        eps, {(1, 2): [eps, 0, 0], (2, 1): [-eps, 0, 0]}, "cyclic sum"),
+    "tension_coordinate_system": _coordinate_system,
+    "Automorphism.validate": _automorphism,
+    "sl2_residuals determinant": _sl2_det,
+    "cone_membership symmetry": _cone_symmetry,
+    "cone_membership trace identity": _cone_trace,
+    "io metric symmetry": _metric_symmetry,
+}
+
+
+@pytest.mark.parametrize("k", [6, 12, 30])
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_an_exact_perturbation_flips_the_site(site, k):
+    verdict = SITES[site]
+    assert verdict(Fraction(0))
+    assert not verdict(Fraction(1, 10 ** k))
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_a_float_perturbation_under_the_tolerance_is_accepted(site):
+    assert SITES[site](0.0) and SITES[site](1e-12)
+
+
+def test_exact_character_with_a_tiny_bracket_is_not_harmonic():
+    e1 = get("e1", a=Fraction(1, 10 ** 12), exact=True).ela
+    assert not e1.is_unimodular()
+    cls = classify(LieAlgebraMap(e1, _line(Fraction(0)), la.as_matrix([[0, 1]], True)))
+    assert list(cls.tension) == [Fraction(1, 10 ** 12)]
+    assert not cls.flags["harmonic"] and cls.flags["biharmonic"]
+
+
+def test_exact_near_homomorphism_is_refused():
+    heis = _heis(Fraction(0))
+    m = LieAlgebraMap(heis, _line(Fraction(0)), la.as_matrix([[Fraction(1, 10 ** 12), 0, 0]], True))
+    assert m.hom_defect() == pytest.approx(1e-12)
+    assert not validate_hom(m)
+    with pytest.raises(MapError, match="not a Lie algebra homomorphism"):
+        classify(m)
+
+
+def test_exact_incompatible_data_fail_the_condition_not_jacobi():
+    sd = _tangent_heis(Fraction(1, 10 ** 12))
+    report = check_condition(sd)
+    assert not report.ok and report.action_defect == pytest.approx(1e-12)
+    with pytest.raises(ConstructionError, match="compatibility equations violated"):
+        build_semidirect(sd)
+
+
+def test_exact_determinant_off_by_ten_to_the_minus_thirty_is_refused():
+    entries = (Fraction(1) + Fraction(1, 10 ** 30), Fraction(0), Fraction(0), Fraction(1))
+    with pytest.raises(ConeError, match="determinant"):
+        sl2_residuals(entries, (Fraction(1), Fraction(2), Fraction(3)))
+    one = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    assert not np.any(sl2_residuals(one, (Fraction(1), Fraction(2), Fraction(3))))
+
+
+#: the functions that may read ``Tolerance.threshold``: the two decision
+#: helpers and the float rank, solve and definiteness rules of ``_linalg``
+THRESHOLD_READERS = {"_check_cross", "_negligible", "nullspace", "solve_linear",
+                     "is_positive_definite"}
+
+
+def _threshold_calls(tree):
+    """``(function, line)`` of every ``.threshold(...)`` call, attributed to
+    the innermost enclosing named function (a lambda belongs to its own)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "threshold"):
+                found.append((func, child.lineno))
+            visit(child, name)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_decision_helpers_read_a_threshold():
+    """A hand-written zero test cannot come back: outside the two helpers
+    and the float rank rules, nothing compares with a threshold."""
+    src = Path(lieharm.__file__).parent
+    stray = [f"{path.name}:{line} in {func}"
+             for path in sorted(src.glob("*.py"))
+             for func, line in _threshold_calls(ast.parse(path.read_text()))
+             if func not in THRESHOLD_READERS]
+    assert stray == []
+    assert _threshold_calls(ast.parse("def f(t):\n    return g(lambda: t.threshold(1))\n")) == [
+        ("f", 2)]
