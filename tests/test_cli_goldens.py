@@ -11,7 +11,6 @@ After an intended output change, rewrite the goldens with
 """
 import os
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -69,27 +68,24 @@ def test_cli_output_matches_the_golden_bytes(name, capsys, monkeypatch):
     assert got.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
-class _Capture:
-    """The part of pytest's ``capsys`` that :func:`_transcript` uses."""
-
-    def readouterr(self):
-        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
-        sys.stdout.seek(0), sys.stdout.truncate()
-        sys.stderr.seek(0), sys.stderr.truncate()
-        return out, err
-
-
 if __name__ == "__main__":
+    import contextlib
     import io
+
+    class _Capture:
+        """The ``readouterr`` of pytest's ``capsys``, over two buffers."""
+
+        def __init__(self):
+            self.out, self.err = io.StringIO(), io.StringIO()
+
+        def readouterr(self):
+            return self.out.getvalue(), self.err.getvalue()
 
     GOLDEN.mkdir(exist_ok=True)
     os.chdir(DOCS)
     for name, argv in CASES.items():
-        real = sys.stdout, sys.stderr
-        sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-        try:
-            text = _transcript(argv, _Capture())
-        finally:
-            sys.stdout, sys.stderr = real
+        cap = _Capture()
+        with contextlib.redirect_stdout(cap.out), contextlib.redirect_stderr(cap.err):
+            text = _transcript(argv, cap)
         (GOLDEN / f"{name}.txt").write_bytes(text.encode())
     print(f"wrote {len(CASES)} goldens to {GOLDEN}")
