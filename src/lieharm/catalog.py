@@ -75,13 +75,13 @@ def _gram(dim: int, gram, exact: bool) -> InnerProduct:
 
 def _positive(name: str, *values) -> None:
     for v in values:
-        if not float(v) > 0:
+        if not v > 0:
             raise CatalogError(f"{name}: parameters must be positive, got {v}")
 
 
 def _entry_e1(a=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     """Two-dimensional non-abelian algebra [e, f] = a e."""
-    if float(a) == 0.0:
+    if a == 0:
         raise CatalogError("e1: the bracket coefficient must be nonzero")
     alg = LieAlgebra.from_brackets(2, {(0, 1): [a, 0]},
                                    name="e1", exact=exact)
@@ -470,18 +470,15 @@ def _check_e1_no_parallel_vector(rec, title, rng, tol, seed, exact):
 def _check_ricci_form(rec, title, rng, tol, seed, exact):
     worst = 0.0
     for ela in (get("e1").ela, get("e2flat").ela, get("so3", alphas=(1.0, 2.0, 3.0)).ela):
-        der = np.asarray(ela.alg.derived_subspace(), dtype=float)
-        comp = la.nullspace(der.T @ np.asarray(ela.gram, dtype=float), tol) \
-            if der.shape[1] else np.eye(ela.dim)
+        der = ela.alg.derived_subspace()
+        comp = la.nullspace(der.T @ ela.gram, tol) if der.shape[1] else np.eye(ela.dim)
         for _ in range(4):
             if comp.shape[1] == 0:
                 continue
             u = comp @ rng.normal(size=comp.shape[1])
-            lhs = float(np.asarray(u) @ np.asarray(ela.gram, dtype=float)
-                        @ np.asarray(ela.ricci_operator() @ u, dtype=float))
-            s = np.asarray(ela.ad(u), dtype=float) + np.asarray(
-                ela.ad_star(u), dtype=float)
-            rhs = -0.25 * float(np.trace(s @ s))
+            lhs = u @ ela.gram @ (ela.ricci_operator() @ u)
+            s = ela.ad(u) + ela.ad_star(u)
+            rhs = -0.25 * np.trace(s @ s)
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     rec.small(title, worst, 1e-8)
 
@@ -573,7 +570,7 @@ def _check_heis_conjugation(rec, title, rng, tol, seed, exact):
         u = rng.normal(size=3) * np.array([1.0, rng.integers(0, 2),
                                            rng.integers(0, 2)])
         adj = exp_adjoint(heis, u, tol)
-        form = np.asarray(automorphism_trace_form(adj, tol), dtype=float)
+        form = automorphism_trace_form(adj, tol)
         central = _negligible(heis.ad(u), tol, 1.0 + la.norm(u))
         ok &= _negligible(form, tol, 0.0) == central
     rec.equal(title, True, ok)
@@ -592,11 +589,8 @@ def _check_sl2_residuals(rec, title, rng, tol, seed, exact):
         entries = (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
         alphas = tuple(rng.uniform(0.2, 5.0, size=3))
         ent = get("sl2", alphas=alphas)
-        res = np.asarray(sl2_residuals(entries, alphas, tol), dtype=float)
-        adj = sl2_adjoint_matrix(entries)
-        form = np.asarray(
-            automorphism_trace_form(Automorphism(ent.ela, adj), tol),
-            dtype=float)
+        res = sl2_residuals(entries, alphas, tol)
+        form = automorphism_trace_form(Automorphism(ent.ela, sl2_adjoint_matrix(entries)), tol)
         ok &= np.allclose(res, form, atol=1e-8 * (1 + la.norm(form)))
     rec.equal(title, True, ok)
 
@@ -605,7 +599,7 @@ def _check_tangent_data(rec, title, rng, tol, seed, exact):
     for base, unimod in (("heis3", True), ("e1", False)):
         entry = get("tangent", base=base)
         proj = entry.extras["projection"]
-        tau = np.asarray(tension(proj, tol), dtype=float)
+        tau = tension(proj, tol)
         rec.close(f"tangent({base}): projection tension equals minus the "
                   f"base unimodularity vector",
                   entry.expected["projection_tension"], tau, 1e-9)

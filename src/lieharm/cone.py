@@ -60,7 +60,7 @@ class Automorphism:
         return self.as_map().hom_defect()
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        if la.rank(la.to_float(self.matrix), tol) != self.base.dim:
+        if la.rank(self.matrix, tol) != self.base.dim:
             raise ConeError("automorphism matrix is singular")
         nphi = la.norm(self.matrix)
         scale = 1.0 + la.norm(self.base.alg.c) * (nphi + nphi ** 2)
@@ -100,9 +100,8 @@ def inner_tension(adj: Automorphism, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     ``U`` the unimodularity vector (so for unimodular algebras it is the
     metric dual of the trace form).
     """
-    adj.validate(tol)
+    alpha = automorphism_trace_form(adj, tol)     # validates adj
     tau = tension(adj.as_map(), tol)
-    alpha = automorphism_trace_form(adj, tol)
     base = adj.base
     expected = la.matmul(base.gram_inv, alpha) - la.matmul(adj.matrix, base.unimodular_vector(tol))
     _check_cross("inner tension vs trace-form dual", tau, expected, tol,
@@ -140,7 +139,7 @@ def sl2_residuals(entries: Sequence[float], alphas: Sequence[float],
     """
     a, b, c, d = entries
     a1, a2, a3 = alphas
-    if not (float(a1) > 0 and float(a2) > 0 and float(a3) > 0):
+    if not (a1 > 0 and a2 > 0 and a3 > 0):
         raise ConeError("metric parameters must be positive")
     det = a * d - b * c
     if not _negligible(det - 1, tol, 1.0 + abs(float(a * d)) + abs(float(b * c)), norm=abs):

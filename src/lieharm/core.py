@@ -549,7 +549,7 @@ class Subalgebra:
         b = self.basis
         if b.ndim != 2 or b.shape[0] != self.parent.dim:
             raise StructureError("subalgebra basis must be parent-dim x k columns")
-        if la.rank(np.asarray(b, dtype=float), self.tol) != b.shape[1]:
+        if la.rank(b, self.tol) != b.shape[1]:
             raise StructureError("subalgebra basis columns are dependent")
         scale = 1.0 + la.norm(self.parent.alg.c) * la.norm(b) ** 2
         closure = _closure_residual(self.parent.alg.c, b, la.span_residual)
@@ -630,7 +630,7 @@ def quotient_metric(ela: EuclideanLieAlgebra, ideal: Subalgebra,
 
     comp = la.nullspace(b.T @ ela.gram, tol)  # complement: <b_i, .>_G = 0
     if not ela.exact:
-        comp = la.orthonormalize_in_metric(comp, np.asarray(ela.gram, dtype=float), tol)
+        comp = la.orthonormalize_in_metric(comp, ela.gram, tol)
     q = comp.shape[1]
     # coordinates of the projection: [w_i, w_j] = sum_a x_a w_a  mod ideal
     brackets = la.pair_table(ela.alg.c, comp, comp).reshape(q * q, n).T

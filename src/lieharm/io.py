@@ -184,11 +184,10 @@ def algebra_to_doc(ela: EuclideanLieAlgebra) -> dict:
                       if c[i, j, k] != 0]
             if coeffs:
                 brackets.append({"i": i, "j": j, "coeffs": coeffs})
-    gram = np.asarray(ela.gram)
-    if np.array_equal(np.asarray(gram, dtype=float), np.eye(dim)):
+    if np.array_equal(ela.gram, np.eye(dim)):
         metric: object = "identity"
     else:
-        metric = _format_matrix(gram)
+        metric = _format_matrix(ela.gram)
     return {"name": ela.name, "dim": dim, "brackets": brackets, "metric": metric}
 
 
@@ -306,7 +305,7 @@ def semidirect_to_doc(sd: SemidirectData) -> dict:
     twist = []
     for i in range(sd.dim_base):
         for j in range(i + 1, sd.dim_base):
-            if la.norm(sd.omega[i, j]) != 0:
+            if np.any(sd.omega[i, j]):
                 twist.append({"i": i, "j": j,
                               "coeffs": [format_scalar(v) for v in sd.omega[i, j]]})
     return {

@@ -116,7 +116,7 @@ class LieAlgebraMap:
         return (image - pushed)[ii, jj]
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        return la.rank(la.to_float(self.matrix), tol)
+        return la.rank(self.matrix, tol)
 
 
 def validate_hom(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -356,11 +356,6 @@ def _require_float(*elas):
             raise ConstructionError("recipe searches run in float mode only")
 
 
-def _kernel_trace_covector(kernel: EuclideanLieAlgebra) -> np.ndarray:
-    """t with t_i = tr(ad_{b_i}) on the kernel (the trace of inner actions)."""
-    return la.to_float(kernel.alg.ad_traces())
-
-
 def tension_coordinate_system(base_domain: EuclideanLieAlgebra,
                               base_target: EuclideanLieAlgebra,
                               tol: Tolerance = DEFAULT_TOL
@@ -405,7 +400,7 @@ def _trace_rows(tvec: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _derived_rows(base: LieAlgebra, dn: int) -> np.ndarray:
     """Rows of ``F([h_i, h_j]) = 0`` for i < j, one per kernel coordinate."""
     ii, jj = la.strict_pairs(base.dim)
-    rows = np.einsum("rs,pk->prsk", np.eye(dn), la.to_float(base.c[ii, jj]))
+    rows = np.einsum("rs,pk->prsk", np.eye(dn), base.c[ii, jj])
     return rows.reshape(-1, dn * base.dim)
 
 
@@ -468,8 +463,8 @@ def build_harmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
     tgt = EuclideanLieAlgebra(base, inner_target)
     _require_float(dom, tgt, kernel)
     _, _, tau_id = tension_coordinate_system(dom, tgt, tol)
-    rhs = la.to_float(inner_domain.gram) @ la.to_float(tau_id)   # <h_k, tau(Id)>_1
-    tvec = _kernel_trace_covector(kernel)
+    rhs = inner_domain.gram @ tau_id    # <h_k, tau(Id)>_1
+    tvec = kernel.alg.ad_traces()       # t_i = tr(ad_{b_i}), the trace of inner actions
     traced = not _negligible(tvec, tol, 1.0)
     if not traced and not _negligible(rhs, tol, 1.0 + la.norm(tau_id)):
         raise InfeasibleSearch(
@@ -507,7 +502,7 @@ def build_biharmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
             "traceless-action method does not apply"
         )
     return _search(kernel, base, inner_domain, inner_target, np.zeros(kernel.dim * base.dim),
-                   _traceless_space(_kernel_trace_covector(kernel), base.dim, tol),
+                   _traceless_space(kernel.alg.ad_traces(), base.dim, tol),
                    flag="biharmonic", first_scale=0.0, budget=budget, seed=seed, tol=tol)
 
 
@@ -540,13 +535,13 @@ def build_riemannian_biharmonic(base: LieAlgebra, inner: InnerProduct,
     dom = EuclideanLieAlgebra(base, inner)
     _require_float(dom, kernel)
     dh, dn = base.dim, kernel.dim
-    tvec = _kernel_trace_covector(kernel)
+    tvec = kernel.alg.ad_traces()
     if variant == "unimodular_kernel":
         if not kernel.is_unimodular(tol):
             raise ConstructionError("variant needs a unimodular kernel")
         rows = np.zeros((0, dn * dh))
     elif variant == "parallel_trace":
-        products = la.to_float(dom.levi_civita().table).reshape(dh * dh, dh)   # A_{e_i} e_j
+        products = dom.levi_civita().table.reshape(dh * dh, dh)   # A_{e_i} e_j
         rows = np.concatenate([_trace_rows(tvec, products), _derived_rows(base, dn)])
     else:  # killing_trace
         if not dom.is_unimodular(tol):

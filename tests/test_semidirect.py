@@ -33,7 +33,6 @@ from lieharm.maps import LieAlgebraMap
 from lieharm.semidirect import (
     ConstructionResult,
     _certify,
-    _kernel_trace_covector,
     _require_float,
 )
 
@@ -376,7 +375,7 @@ def ref_build_harmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
     _require_float(dom, tgt, kernel)
     _, _, tau_id = tension_coordinate_system(dom, tgt, tol)
     rhs = la.to_float(inner_domain.gram) @ la.to_float(tau_id)   # <h_k, tau(Id)>_1
-    tvec = _kernel_trace_covector(kernel)
+    tvec = kernel.alg.ad_traces()
     tnorm2 = float(tvec @ tvec)
     if tnorm2 <= tol.threshold(1.0) ** 2:
         if la.norm(rhs) > tol.threshold(1.0 + la.norm(tau_id)):
@@ -430,7 +429,7 @@ def ref_build_biharmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct
             "identity map between the base metrics is not biharmonic; the "
             "traceless-action method does not apply"
         )
-    tvec = _kernel_trace_covector(kernel)
+    tvec = kernel.alg.ad_traces()
     if float(tvec @ tvec) <= tol.threshold(1.0) ** 2:
         hom_basis = np.eye(kernel.dim)
     else:
@@ -487,7 +486,7 @@ def ref_build_riemannian_biharmonic(base: LieAlgebra, inner: InnerProduct,
     dom = EuclideanLieAlgebra(base, inner)
     _require_float(dom, kernel)
     dh, dn = base.dim, kernel.dim
-    tvec = _kernel_trace_covector(kernel)
+    tvec = kernel.alg.ad_traces()
     rng = np.random.default_rng(seed)
 
     rows = []

@@ -4,7 +4,8 @@ Each predicate and validation site hands its residual to ``core._negligible``.
 An exact residual counts as zero only when it is zero, so a perturbation by
 ``Fraction(1, 10**k)`` flips every exact verdict, however small; float
 verdicts keep their tolerance, so the same perturbation of float data by
-``1e-12`` is accepted.
+``1e-12`` is accepted.  Rank and equality decisions likewise take the data
+as given: exact elimination on exact data, the float rank on float data.
 """
 import ast
 import functools
@@ -50,7 +51,8 @@ from lieharm import (
     tension_coordinate_system,
     validate_hom,
 )
-from lieharm.io import algebra_from_doc
+from lieharm.io import algebra_from_doc, algebra_to_doc, semidirect_to_doc
+from lieharm.maps import submersion_split
 
 
 def _mat(rows, eps):
@@ -241,8 +243,25 @@ def _metric_symmetry(eps):
                     "metric is not symmetric")
 
 
-#: site -> verdict(eps): True when the site finds its quantity zero (or
-#: accepts its input), for a perturbation ``eps`` of exactly-zero data
+def _dependent_basis(eps):
+    basis = _mat([[1, 1], [0, eps], [0, 0]], eps)         # z, z + eps f
+    return not _accepts(lambda: Subalgebra(_heis(eps), basis), StructureError, "dependent")
+
+
+def _singular_automorphism(eps):
+    phi = _mat(np.diag([eps, 1, eps]), eps)                # an automorphism unless eps = 0
+    return not _accepts(lambda: Automorphism(_heis(eps), phi).validate(), ConeError, "singular")
+
+
+def _not_onto(eps):
+    plane = _entry("abelian", isinstance(eps, Fraction), n=2)
+    m = LieAlgebraMap(_heis(eps), plane, _mat([[0, eps, 0], [0, 0, 1]], eps))
+    return not _accepts(lambda: submersion_split(m), MapError, "surjective")
+
+
+#: site -> verdict(eps): True when the site finds its quantity zero (it
+#: accepts its input, or finds a rank deficient), for a perturbation ``eps``
+#: of exactly-zero data
 SITES = {
     "check_jacobi": _jacobi,
     "from_tensor antisymmetry": _antisymmetry,
@@ -274,6 +293,9 @@ SITES = {
     "cone_membership symmetry": _cone_symmetry,
     "cone_membership trace identity": _cone_trace,
     "io metric symmetry": _metric_symmetry,
+    "Subalgebra independence": _dependent_basis,
+    "Automorphism.validate invertibility": _singular_automorphism,
+    "submersion_split surjectivity": _not_onto,
 }
 
 
@@ -323,6 +345,30 @@ def test_exact_determinant_off_by_ten_to_the_minus_thirty_is_refused():
     assert not np.any(sl2_residuals(one, (Fraction(1), Fraction(2), Fraction(3))))
 
 
+def test_an_exact_gram_off_the_identity_is_saved_as_a_matrix():
+    gram = la.as_matrix(np.diag([1 + Fraction(1, 10 ** 20), 1]), True)
+    e1 = get("e1", gram=gram, exact=True).ela
+    doc = algebra_to_doc(e1)
+    assert doc["metric"] != "identity"
+    assert np.array_equal(algebra_from_doc(doc, exact=True).gram, gram)
+    assert algebra_to_doc(get("e1", exact=True).ela)["metric"] == "identity"
+
+
+def test_a_tiny_exact_twist_entry_is_saved():
+    tiny = Fraction(1, 10 ** 400)
+    sd = tangent_semidirect(_e1(tiny))
+    omega = sd.omega.copy()
+    omega[0, 1, 0], omega[1, 0, 0] = tiny, -tiny
+    sd = SemidirectData(sd.kernel, sd.base, sd.inner_domain, sd.inner_target, sd.rho, omega)
+    assert semidirect_to_doc(sd)["twist"] == [{"i": 0, "j": 1, "coeffs": [f"1/{10 ** 400}", 0]}]
+
+
+def test_exact_catalog_parameters_are_compared_exactly():
+    tiny = Fraction(1, 10 ** 400)
+    assert get("e1", a=tiny, exact=True).ela.alg.c[0, 1, 0] == tiny
+    assert get("heis3", alpha=tiny, exact=True).ela.alg.c[1, 2, 0] == tiny
+
+
 #: the functions that may read ``Tolerance.threshold``: the two decision
 #: helpers and the float rank, solve and definiteness rules of ``_linalg``
 THRESHOLD_READERS = {"_check_cross", "_negligible", "nullspace", "solve_linear",
@@ -357,3 +403,52 @@ def test_only_the_decision_helpers_read_a_threshold():
     assert stray == []
     assert _threshold_calls(ast.parse("def f(t):\n    return g(lambda: t.threshold(1))\n")) == [
         ("f", 2)]
+
+
+#: the calls that decide a rank or an equality on the data they are given
+DECIDERS = {"rank", "nullspace", "array_equal"}
+
+
+def _float_copy(node) -> bool:
+    """Whether ``node`` is ``float(...)``, ``la.to_float(...)``, ``la.norm(...)``
+    or ``np.asarray(..., dtype=float)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if isinstance(f, ast.Name):
+        return f.id == "float"
+    if not (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)):
+        return False
+    if f.value.id == "la":
+        return f.attr in ("to_float", "norm")
+    return f.value.id == "np" and f.attr == "asarray" and any(
+        k.arg == "dtype" and isinstance(k.value, ast.Name) and k.value.id == "float"
+        for k in node.keywords)
+
+
+def _decisions_on_float_copies(tree):
+    """Lines of the rank, nullspace and equality calls with a float copy in an
+    argument."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        args = list(node.args) + [k.value for k in node.keywords]
+        if name in DECIDERS and any(_float_copy(sub) for a in args for sub in ast.walk(a)):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_rank_or_equality_is_decided_on_a_float_copy():
+    """Exact data take the exact rank and equality: no decision converts its
+    argument to float first (the float kernels of ``_linalg`` are exempt)."""
+    src = Path(lieharm.__file__).parent
+    stray = [f"{path.name}:{line}"
+             for path in sorted(src.glob("*.py")) if path.name != "_linalg.py"
+             for line in _decisions_on_float_copies(ast.parse(path.read_text()))]
+    assert stray == []
+    probe = ("la.rank(la.to_float(m))\nla.nullspace(x.T @ np.asarray(g, dtype=float))\n"
+             "np.array_equal(float(a), b)\nla.rank(m)\nnp.asarray(la.rank(m), dtype=float)\n")
+    assert _decisions_on_float_copies(ast.parse(probe)) == [1, 2, 3]
