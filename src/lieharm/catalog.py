@@ -65,6 +65,10 @@ class CatalogEntry:
     extras: Dict[str, object] = field(default_factory=dict)
 
 
+#: Float catalog parameters closer than this are equal (exact ones only when equal).
+_PARAM_TOL = Tolerance(1e-12, 0.0)
+
+
 def _gram(dim: int, gram, exact: bool) -> InnerProduct:
     if gram is None:
         return InnerProduct.identity(dim, exact)
@@ -89,7 +93,7 @@ def _entry_e1(a=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     expected: Dict[str, object] = {
         "unimodular": False,
         "kill_dim": 0,                       # holds for every metric
-        "u_covector": [0 * a, -a],           # tr(ad_v), metric-independent
+        "u_covector": la.as_matrix([0, -a], exact).tolist(),   # tr(ad_v), metric-independent
     }
     if gram is None:
         expected["ch_dim"] = 1
@@ -99,13 +103,12 @@ def _entry_e1(a=1.0, gram=None, exact: bool = False) -> CatalogEntry:
 def _entry_heis3(alpha=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     """Heisenberg algebra in the ordering (z, f, g) with [f, g] = alpha z."""
     _positive("heis3", alpha)
-    zero = 0 if exact else 0.0
     alg = LieAlgebra.from_brackets(3, {(1, 2): [alpha, 0, 0]},
                                    name="heis3", exact=exact)
     ela = EuclideanLieAlgebra(alg, _gram(3, gram, exact), name="heis3")
     expected: Dict[str, object] = {
         "unimodular": True,
-        "u_covector": [zero, zero, zero],
+        "u_covector": la.zeros(3, exact).tolist(),
     }
     if gram is None:
         expected["kill_dim"] = 1
@@ -117,7 +120,6 @@ def _entry_sl2(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     """Split simple algebra in the basis (h, e, f): [h,e]=2e, [h,f]=-2f,
     [e,f]=h; metric diag(alphas)."""
     _positive("sl2", *alphas)
-    zero = 0 if exact else 0.0
     alg = LieAlgebra.from_brackets(3, {
         (0, 1): [0, 2, 0],
         (0, 2): [0, 0, -2],
@@ -127,7 +129,7 @@ def _entry_sl2(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     ela = EuclideanLieAlgebra(alg, InnerProduct.of(gram, exact), name="sl2")
     expected: Dict[str, object] = {
         "unimodular": True,
-        "u_covector": [zero, zero, zero],
+        "u_covector": la.zeros(3, exact).tolist(),
         "kill_dim": 0,
         "ch_dim": 3,
     }
@@ -143,7 +145,6 @@ def _entry_so3(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     subalgebra is 1-dimensional, giving 3 + 1 = 4.
     """
     _positive("so3", *alphas)
-    zero = 0 if exact else 0.0
     alg = LieAlgebra.from_brackets(3, {
         (0, 1): [0, 0, 1],
         (1, 2): [1, 0, 0],
@@ -151,10 +152,9 @@ def _entry_so3(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     }, name="so3", exact=exact)
     gram = [[alphas[0], 0, 0], [0, alphas[1], 0], [0, 0, alphas[2]]]
     ela = EuclideanLieAlgebra(alg, InnerProduct.of(gram, exact), name="so3")
-    a1, a2, a3 = (float(x) for x in alphas)
-    eq12, eq13, eq23 = (abs(a1 - a2) < 1e-12, abs(a1 - a3) < 1e-12,
-                        abs(a2 - a3) < 1e-12)
-    n_eq = sum([eq12, eq13, eq23])
+    a1, a2, a3 = ela.gram.diagonal().tolist()       # the parameters as the entry holds them
+    n_eq = sum(_negligible(x - y, _PARAM_TOL, 0.0, norm=abs)
+               for x, y in ((a1, a2), (a1, a3), (a2, a3)))
     if n_eq == 3:
         kill, ch = 3, 6
     elif n_eq == 1:
@@ -163,7 +163,7 @@ def _entry_so3(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
         kill, ch = 0, 3
     expected: Dict[str, object] = {
         "unimodular": True,
-        "u_covector": [zero, zero, zero],
+        "u_covector": la.zeros(3, exact).tolist(),
         "kill_dim": kill,
         "ch_dim": ch,
         "biinvariant": n_eq == 3,
@@ -181,7 +181,7 @@ def _entry_nilp5(gram=None, exact: bool = False) -> CatalogEntry:
     ela = EuclideanLieAlgebra(alg, _gram(5, gram, exact), name="nilp5")
     expected: Dict[str, object] = {
         "unimodular": True,
-        "u_covector": [0 if exact else 0.0] * 5,
+        "u_covector": la.zeros(5, exact).tolist(),
         "minimal_subalgebra": [0, 1, 2, 4],
     }
     if gram is None:
@@ -198,7 +198,7 @@ def _entry_abelian(n=3, gram=None, exact: bool = False) -> CatalogEntry:
     ela = EuclideanLieAlgebra(alg, _gram(n, gram, exact), name=f"abelian{n}")
     expected: Dict[str, object] = {
         "unimodular": True,
-        "u_covector": [0 if exact else 0.0] * n,
+        "u_covector": la.zeros(n, exact).tolist(),
         "kill_dim": n,
         "ch_dim": n * (n - 1) // 2 + n,
         "biinvariant": True,
@@ -209,7 +209,6 @@ def _entry_abelian(n=3, gram=None, exact: bool = False) -> CatalogEntry:
 def _entry_e2flat(lam=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     """Flat non-abelian model: [e3,e1] = lam e2, [e3,e2] = -lam e1."""
     _positive("e2flat", lam)
-    zero = 0 if exact else 0.0
     alg = LieAlgebra.from_brackets(3, {
         (0, 2): [0, -lam, 0],
         (1, 2): [lam, 0, 0],
@@ -217,7 +216,7 @@ def _entry_e2flat(lam=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     ela = EuclideanLieAlgebra(alg, _gram(3, gram, exact), name="e2flat")
     expected: Dict[str, object] = {
         "unimodular": True,
-        "u_covector": [zero, zero, zero],
+        "u_covector": la.zeros(3, exact).tolist(),
     }
     if gram is None:
         expected.update({"kill_dim": 1, "ch_dim": 4, "flat": True})
@@ -226,9 +225,9 @@ def _entry_e2flat(lam=1.0, gram=None, exact: bool = False) -> CatalogEntry:
 
 def _entry_aff2solv(beta=0.5, gram=None, exact: bool = False) -> CatalogEntry:
     """Non-unimodular solvable family [e3,e1] = e1, [e3,e2] = beta e2."""
-    if abs(float(beta) + 1.0) < 1e-12:
+    u_covector = la.as_matrix([0, 0, 1 + beta], exact)
+    if _negligible(u_covector[2], _PARAM_TOL, 0.0, norm=abs):
         raise CatalogError("aff2solv: beta = -1 is the unimodular degeneration")
-    zero = 0 if exact else 0.0
     alg = LieAlgebra.from_brackets(3, {
         (0, 2): [-1, 0, 0],
         (1, 2): [0, -beta, 0],
@@ -236,7 +235,7 @@ def _entry_aff2solv(beta=0.5, gram=None, exact: bool = False) -> CatalogEntry:
     ela = EuclideanLieAlgebra(alg, _gram(3, gram, exact), name="aff2solv")
     expected: Dict[str, object] = {
         "unimodular": False,
-        "u_covector": [zero, zero, zero + 1 + beta],
+        "u_covector": u_covector.tolist(),
     }
     if gram is None:
         expected["kill_dim"] = 0
@@ -387,8 +386,7 @@ def _entry_checks(rec: _Recorder, name: str, entry: CatalogEntry, tol: Tolerance
     if "unimodular" in exp:
         rec.equal(f"{name}: unimodular", exp["unimodular"], ela.is_unimodular(tol))
     if "u_covector" in exp:
-        measured = np.asarray(ela.gram, dtype=float) @ np.asarray(
-            ela.unimodular_vector(tol), dtype=float)
+        measured = la.matmul(ela.gram, ela.unimodular_vector(tol))
         rec.close(f"{name}: bracket-trace covector", exp["u_covector"], measured, 1e-9)
     if "kill_dim" in exp:
         rec.equal(f"{name}: Killing subalgebra dimension", exp["kill_dim"],

@@ -239,7 +239,7 @@ def cmd_semidirect(args) -> int:
 def cmd_catalog(args) -> int:
     tol = _tolerance(args)
     if args.name:
-        entry = cat.get(args.name)
+        entry = cat.get(args.name, exact=args.exact)
         doc = {
             "name": entry.name,
             "dim": entry.ela.dim,
@@ -248,7 +248,7 @@ def cmd_catalog(args) -> int:
         }
         text = [f"entry: {entry.name}  (dim {entry.ela.dim})", "expected:"]
         for k, v in entry.expected.items():
-            text.append(f"  {k}: {v}")
+            text.append(f"  {k}: {_jsonable(v)}")
         _emit(args, doc, text)
         return 0
     report = cat.run_verification_suite(tol, seed=args.seed, exact=args.exact)

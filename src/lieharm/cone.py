@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -160,8 +159,7 @@ def sl2_residuals(entries: Sequence[float], alphas: Sequence[float],
         + a * c * (a ** 2 * a12 + 2 * c ** 2 * a32)
         + b * d * (b ** 2 * a13 + 2 * d ** 2)
     )
-    exact = any(isinstance(x, Fraction) for x in (r1, r2, r3))
-    return np.array([r1, r2, r3], dtype=object if exact else float)
+    return np.array([r1, r2, r3])             # object for Fractions, float64 for floats
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +188,13 @@ def _sym_coordinates(n: int, exact: bool):
     the value the unit of each coordinate takes at (a, b) and (b, a), and
     ``pos[x*n + y]``, the coordinate of the unordered pair {x, y}.  ``u`` is 1
     on the diagonal; off it, 1/sqrt(2) in float mode, so the coordinates are
-    a Frobenius isometry, and 1 in exact mode."""
+    a Frobenius isometry, and 1 (an int in an object array) in exact mode,
+    where 1/sqrt(2) is irrational: the one mode split of the cone."""
     a, b = np.triu_indices(n)
     pos = np.empty((n, n), dtype=np.intp)
     pos[a, b] = pos[b, a] = np.arange(len(a))
-    a, b, pos = la._frozen(a, b, pos.reshape(-1))
-    return a, b, 1 if exact else la._frozen(np.where(a == b, 1.0, np.sqrt(0.5)))[0], pos
+    u = np.ones(len(a), dtype=object) if exact else np.where(a == b, 1.0, np.sqrt(0.5))
+    return la._frozen(a, b, u, pos.reshape(-1))
 
 
 def _cone_constraints(ela: EuclideanLieAlgebra) -> np.ndarray:
@@ -226,11 +225,11 @@ def harmonic_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> Con
     n = ela.dim
     basis = la.nullspace(_cone_constraints(ela), tol)
     a, b, u, pos = _sym_coordinates(n, ela.exact)
-    x_gram = ela.gram[a, b] if ela.exact else ela.gram[a, b] / u
+    scaled = u != 1                             # in exact mode no unit rescales
+    x_gram = np.divide(ela.gram[a, b], u, out=ela.gram[a, b], where=scaled)
     _check_cross("identity operator in the harmonic-cone span",
                  la.kernel_residual(basis, x_gram), 0, tol, 1.0 + la.norm(ela.gram))
-    if not ela.exact:
-        basis *= u[:, None]                     # coordinate units, in place
+    np.multiply(basis, u[:, None], out=basis, where=scaled[:, None])   # in place
     sym = basis.T[:, pos].reshape(basis.shape[1], n, n)
     del basis                                   # freed before the operators are formed
     ops, eye = la._frozen(la.matmul(ela.gram_inv, sym), la.eye(n, ela.exact))

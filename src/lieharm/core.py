@@ -58,9 +58,10 @@ def _is_exact_route(x) -> bool:
     return dtype == object if dtype is not None else isinstance(x, (int, Fraction))
 
 
-def _check_cross(name: str, first, second, tol: Tolerance, scale: float | None = None) -> float:
+def _check_cross(name: str, first, second, tol: Tolerance, scale: float | None = None,
+                 norm=la.norm) -> float:
     """Compare two independent routes to one quantity and return their defect
-    ``|first - second|``.
+    ``norm(first - second)``.
 
     Exact routes (Fraction arrays or Python ints; an exact scalar stands for
     an array of that value) must be equal; float routes may differ by at most
@@ -70,7 +71,7 @@ def _check_cross(name: str, first, second, tol: Tolerance, scale: float | None =
     exact = _is_exact_route(first) and _is_exact_route(second)
     if exact and not np.any(first - second):
         return 0.0
-    defect = _float_gap(first, second)
+    defect = _float_gap(first, second, norm)
     if scale is None:
         scale = 1.0 + la.norm(first) + la.norm(second)
     if exact or defect > 10.0 * tol.threshold(scale):
@@ -162,9 +163,7 @@ class LieAlgebra:
         return np.einsum("i,ijk->kj", np.asarray(u), self.c)
 
     def basis(self, i: int) -> np.ndarray:
-        e = la.zeros(self.dim, self.exact)
-        e[i] = Fraction(1) if self.exact else 1.0
-        return e
+        return la.as_matrix(np.eye(self.dim)[i], self.exact)
 
     def ad_traces(self) -> np.ndarray:
         """tr(ad_{e_k}) for every basis vector e_k."""
@@ -232,6 +231,7 @@ def _jacobi_sums(alg: LieAlgebra):
     ii, jj = la.strict_pairs(n)
     left = c[ii, jj]                               # [p, l] = [e_a, e_b]
     ij, jk, ik = _cyclic_rows(n)
+    # the mode split stays: float rows kept whole would cost 21 MB at dim 64
     exact = la.is_exact(c)
     pairs, rows, terms = len(ii), len(ii) * n, len(ij)
     acc = np.empty((terms, n), dtype=object) if exact else np.zeros(terms)
@@ -306,7 +306,7 @@ class InnerProduct:
         return (np.asarray(u) @ self.gram @ np.asarray(v))
 
     def norm(self, u) -> float:
-        return la.metric_norm(np.asarray(u, dtype=float), np.asarray(self.gram, dtype=float))
+        return la.metric_norm(np.asarray(u), self.gram)
 
 
 class EuclideanLieAlgebra:
@@ -470,8 +470,8 @@ class EuclideanLieAlgebra:
         stacked = sym.reshape(n, n * n).T   # column i: ad(e_i) + ad*(e_i)
         basis = la.nullspace(stacked, tol)
         rows = _closure_residual(c, basis, la.kernel_residual)
-        _check_cross("Killing directions are not bracket-closed",
-                     rows if self.exact else la.max_row_norm(rows), 0, tol, 1.0 + la.norm(c))
+        _check_cross("Killing directions are not bracket-closed", rows, 0, tol,
+                     1.0 + la.norm(c), la.max_row_norm)
         self._killing[tol], = la._frozen(basis)
         return basis
 
@@ -495,8 +495,7 @@ class LeviCivitaProduct:
     def _table(ela: EuclideanLieAlgebra) -> np.ndarray:
         # 2 <A_i j, k> = <[i,j],k> + <[k,i],j> + <[k,j],i>, summed on the
         # numerators of exact input, which share one denominator
-        half = Fraction(1, 2) if ela.exact else 0.5
-        (c, dc), (g, dg), (h, dh) = map(la.numerators, (ela.alg.c, ela.gram, half * ela.gram_inv.T))
+        (c, dc), (g, dg), (h, dh) = map(la.numerators, (ela.alg.c, ela.gram, ela.gram_inv.T / 2))
         cov = la.contract_last(c, g)
         rhs = cov + np.transpose(cov, (1, 2, 0)) + np.transpose(cov, (2, 1, 0))
         return la.over(la.contract_last(rhs, h), dc * dg * dh)
@@ -522,9 +521,7 @@ class LeviCivitaProduct:
 
     def compatibility_defect(self) -> float:
         """max |<A_u v, w> + <v, A_u w>| over basis triples."""
-        g = np.asarray(self.ela.gram, dtype=float)
-        tab = np.asarray(self.table, dtype=float)
-        cov = np.einsum("ijl,lk->ijk", tab, g)
+        cov = la.contract_last(self.table, self.ela.gram)
         return float(np.abs(cov + np.transpose(cov, (0, 2, 1))).max())
 
 
@@ -594,6 +591,7 @@ def second_fundamental(sub: Subalgebra, tol: Tolerance = DEFAULT_TOL):
     h = la.matmul(normal, products[..., None])[..., 0]
 
     induced = la.matmul(sub.induced().levi_civita().table, b.T)
+    # each float pair is held to its own scale; one scale for all would loosen the check
     if parent.exact:
         _check_cross("tangential Levi-Civita part", products - h, induced, tol)
     elif k:
@@ -629,7 +627,7 @@ def quotient_metric(ela: EuclideanLieAlgebra, ideal: Subalgebra,
         raise StructureError("subalgebra is not an ideal")
 
     comp = la.nullspace(b.T @ ela.gram, tol)  # complement: <b_i, .>_G = 0
-    if not ela.exact:
+    if not ela.exact:                         # a metric-orthonormal basis is irrational
         comp = la.orthonormalize_in_metric(comp, ela.gram, tol)
     q = comp.shape[1]
     # coordinates of the projection: [w_i, w_j] = sum_a x_a w_a  mod ideal

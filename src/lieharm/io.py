@@ -81,9 +81,17 @@ def format_scalar(value) -> Union[int, float, str]:
     return float(value)
 
 
+def _array(value, what: str):
+    """``value`` when it is an array (a list, tuple or ndarray); otherwise a
+    SpecError naming ``what`` was expected."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise SpecError(f"{what} expected, got {value!r}")
+    return value
+
+
 def _parse_vector(values, n: int, exact: bool):
     out = la.zeros(n, exact)
-    if len(values) != n:
+    if len(_array(values, f"vector of length {n}")) != n:
         raise SpecError(f"vector of length {n} expected, got {len(values)}")
     for k, v in enumerate(values):
         out[k] = parse_scalar(v, exact)
@@ -92,7 +100,7 @@ def _parse_vector(values, n: int, exact: bool):
 
 def _parse_matrix(rows, shape: Tuple[int, int], exact: bool):
     out = la.zeros(shape, exact)
-    if len(rows) != shape[0]:
+    if len(_array(rows, f"matrix with {shape[0]} rows")) != shape[0]:
         raise SpecError(f"matrix with {shape[0]} rows expected, got {len(rows)}")
     for i, row in enumerate(rows):
         out[i, :] = _parse_vector(row, shape[1], exact)
@@ -139,7 +147,7 @@ def algebra_from_doc(doc: dict, exact: bool = False,
         raise SpecError("'dim' must be positive")
     name = str(doc.get("name", ""))
     brackets = {}
-    for ent in doc.get("brackets", []):
+    for ent in _array(doc.get("brackets", []), "'brackets' list"):
         try:
             i, j = int(ent["i"]), int(ent["j"])
             coeffs = ent["coeffs"]
@@ -148,10 +156,13 @@ def algebra_from_doc(doc: dict, exact: bool = False,
         if not 0 <= i < j < dim:
             raise SpecError(f"bracket indices ({i},{j}) need 0 <= i < j < dim")
         vec = la.zeros(dim, exact)
-        for pair in coeffs:
+        for pair in _array(coeffs, "'coeffs' list"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise SpecError(f"coefficient entries are [k, value] pairs, got {pair!r}")
-            k = int(pair[0])
+            try:
+                k = int(pair[0])
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"coefficient index {pair[0]!r} is not an integer") from exc
             if not 0 <= k < dim:
                 raise SpecError(f"coefficient index {k} out of range")
             vec[k] = parse_scalar(pair[1], exact)
@@ -234,7 +245,8 @@ def map_to_doc(m: LieAlgebraMap) -> dict:
 
 def _parse_twist(entries, dim_base: int, dim_kernel: int, exact: bool):
     omega = la.zeros((dim_base, dim_base, dim_kernel), exact)
-    for ent in entries or []:
+    seen = set()
+    for ent in _array([] if entries is None else entries, "twist list"):
         try:
             i, j = int(ent["i"]), int(ent["j"])
             coeffs = ent["coeffs"]
@@ -242,6 +254,9 @@ def _parse_twist(entries, dim_base: int, dim_kernel: int, exact: bool):
             raise SpecError(f"bad twist entry {ent!r}") from exc
         if not 0 <= i < j < dim_base:
             raise SpecError(f"twist indices ({i},{j}) need 0 <= i < j < base dim")
+        if (i, j) in seen:
+            raise SpecError(f"duplicate twist entry for ({i},{j})")
+        seen.add((i, j))
         vec = _parse_vector(coeffs, dim_kernel, exact)
         omega[i, j] = vec
         omega[j, i] = -vec
@@ -278,7 +293,7 @@ def semidirect_from_doc(doc: dict, exact: bool = False,
         return inner_action_data(kernel, base, inner_domain, inner_target, f,
                                  omega0=om0, tol=tol)
     if "action" in doc:
-        rho_rows = doc["action"]
+        rho_rows = _array(doc["action"], "'action' list of operators")
         if len(rho_rows) != base.dim:
             raise SpecError(f"'action' needs one operator per base vector "
                             f"({base.dim}), got {len(rho_rows)}")

@@ -223,13 +223,13 @@ def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
                 - la.matmul(tgt.bracket(tau, u_xi), g))
     dual = la.matmul(tgt.gram_inv, pairings)
 
-    scale = 1.0 + la.norm(t_second) + la.norm(t_curv) + la.norm(t_drift)
-    _check_cross("bitension (curvature formula vs trace identity)", tau2, dual, tol, scale)
     norms = {
         "second_order": la.norm(t_second),
         "curvature": la.norm(t_curv),
         "drift": la.norm(t_drift),
     }
+    scale = 1.0 + norms["second_order"] + norms["curvature"] + norms["drift"]
+    _check_cross("bitension (curvature formula vs trace identity)", tau2, dual, tol, scale)
     return tau2, norms
 
 
@@ -457,6 +457,6 @@ def submersion_defects(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> Dict[s
         raise MapError("criteria apply to Riemannian submersions only")
     tgt = m.target
     tau = tension(m, tol)
-    killing = la.norm(la.to_float(tgt.ad(tau)) + la.to_float(tgt.ad_star(tau)))
+    killing = la.norm(tgt.ad(tau) + tgt.ad_star(tau))
     parallel = la.max_row_norm(la.matmul(tau, tgt.levi_civita().table))   # rows B_{b_k} tau
     return {"killing_defect": float(killing), "parallel_defect": float(parallel)}

@@ -218,3 +218,44 @@ def test_tol_flag_loosens_hom_acceptance(tmp_path, capsys):
     })
     rc_exact, out, _ = run(capsys, ["--exact", "--tol", "1e-4", "analyze", exact_path])
     assert rc_exact == 1 and "not a Lie algebra homomorphism" in out
+
+
+#: malformed documents, each refused as a parse failure: (command, document)
+MALFORMED = {
+    "metric not a matrix": ("check", {"dim": 2, "metric": 5}),
+    "brackets not a list": ("check", {"dim": 2, "brackets": 5}),
+    "coeffs not a list": ("check", {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": 5}]}),
+    "coefficient index not an integer": (
+        "check", {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [["a", 1]]}]}),
+    "xi not a matrix": ("analyze", {"source": E1_DOC, "target": E1_DOC, "xi": 5}),
+    "action not a list": ("semidirect", {"kernel": E1_DOC, "base": E1_DOC, "action": 5}),
+    "target_metric not a matrix": ("semidirect", {
+        "kernel": E1_DOC, "base": E1_DOC, "target_metric": 7, "embedding": [[1, 0], [0, 1]]}),
+    "duplicate twist": ("semidirect", {
+        "kernel": {"dim": 1}, "base": {"dim": 2}, "action": [[[0]], [[0]]],
+        "twist": [{"i": 0, "j": 1, "coeffs": [1]}, {"i": 0, "j": 1, "coeffs": [0]}]}),
+}
+
+#: documents that parse but that the library refuses: (command, document, error text)
+REFUSED = {
+    "StructureError": ("check", {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [[2, 1]]},
+                                                        {"i": 0, "j": 2, "coeffs": [[0, 1]]}]},
+                       "violate Jacobi"),
+    "MetricError": ("check", {"dim": 2, "metric": [[1, 2], [2, 1]]}, "not positive definite"),
+    "ConstructionError": ("semidirect", {"kernel": E1_DOC, "base": {"dim": 1},
+                                         "action": [[[1, 0], [0, 1]]]}, "derivation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_two(tmp_path, capsys, case):
+    command, doc = MALFORMED[case]
+    rc, out, err = run(capsys, [command, write(tmp_path, "doc.json", doc)])
+    assert (rc, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_library_refusal_exits_one(tmp_path, capsys, case):
+    command, doc, text = REFUSED[case]
+    rc, out, err = run(capsys, [command, write(tmp_path, "doc.json", doc)])
+    assert (rc, out) == (1, "") and err.startswith("error: ") and text in err

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from lieharm import (
+    InnerProduct,
     MetricError,
     SpecError,
     StructureError,
     algebra_to_doc,
     get,
+    inner_action_data,
     load_algebra,
     load_map,
     load_semidirect,
@@ -19,6 +21,7 @@ from lieharm import (
     semidirect_to_doc,
     tension,
 )
+from lieharm import _linalg as la
 from lieharm import io as lio
 
 from conftest import rand_pd, with_metric
@@ -196,3 +199,36 @@ def test_semidirect_embedding_form(tmp_path, rng):
 def test_missing_file_raises_spec_error(tmp_path):
     with pytest.raises(SpecError):
         load_algebra(str(tmp_path / "nope.json"))
+
+
+def test_semidirect_action_round_trip_with_twist_and_target_metric():
+    """Inner action of e1 on heis3 through F(h0) = f, F(h1) = g: the twist
+    omega(h0, h1) = [f, g] - F([h0, h1]) = z - f is nonzero, and the target
+    metric differs from the domain one."""
+    heis, e1 = get("heis3", exact=True).ela, get("e1", exact=True).ela
+    f = la.as_matrix([[0, 0], [1, 0], [0, 1]], True)
+    target = InnerProduct.of([[2, 1], [1, 1]], exact=True)
+    data = inner_action_data(heis, e1.alg, e1.inner, target, f)
+    doc = json.loads(json.dumps(semidirect_to_doc(data)))
+    assert doc["twist"] == [{"i": 0, "j": 1, "coeffs": [1, -1, 0]}]
+    back = lio.semidirect_from_doc(doc, exact=True)
+    for got, want in ((back.rho, data.rho), (back.omega, data.omega),
+                      (back.inner_target.gram, target.gram),
+                      (back.inner_domain.gram, e1.gram)):
+        assert np.array_equal(got, want)
+
+
+def test_semidirect_target_metric_keyword():
+    doc = {"kernel": HEIS_DOC, "base": {"dim": 1}, "action": [np.zeros((3, 3)).tolist()]}
+    back = lio.semidirect_from_doc({**doc, "target_metric": "identity"})
+    assert np.array_equal(back.inner_target.gram, np.eye(1))
+    with pytest.raises(SpecError, match="unknown metric keyword"):
+        lio.semidirect_from_doc({**doc, "target_metric": "round"})
+
+
+def test_semidirect_document_shape_errors():
+    doc = {"kernel": HEIS_DOC, "base": {"dim": 2}}
+    with pytest.raises(SpecError, match="one operator per base vector"):
+        lio.semidirect_from_doc({**doc, "action": [np.zeros((3, 3)).tolist()]})
+    with pytest.raises(SpecError, match="needs 'embedding' or 'action'"):
+        lio.semidirect_from_doc(doc)

@@ -6,6 +6,7 @@ An exact residual counts as zero only when it is zero, so a perturbation by
 verdicts keep their tolerance, so the same perturbation of float data by
 ``1e-12`` is accepted.  Rank and equality decisions likewise take the data
 as given: exact elimination on exact data, the float rank on float data.
+Outside the decision layer no kernel branches on the scalar mode.
 """
 import ast
 import functools
@@ -20,6 +21,7 @@ import lieharm
 import lieharm._linalg as la
 from lieharm import (
     Automorphism,
+    CatalogError,
     ConeError,
     ConstructionError,
     EuclideanLieAlgebra,
@@ -40,6 +42,7 @@ from lieharm import (
     compose,
     cone_membership,
     get,
+    harmonic_cone,
     inner_action_data,
     is_holomorphic,
     is_riemannian_immersion,
@@ -452,3 +455,105 @@ def test_no_rank_or_equality_is_decided_on_a_float_copy():
     probe = ("la.rank(la.to_float(m))\nla.nullspace(x.T @ np.asarray(g, dtype=float))\n"
              "np.array_equal(float(a), b)\nla.rank(m)\nnp.asarray(la.rank(m), dtype=float)\n")
     assert _decisions_on_float_copies(ast.parse(probe)) == [1, 2, 3]
+
+
+def test_exact_so3_parameters_a_hair_apart_are_distinct():
+    alphas = (Fraction(1), 1 + Fraction(1, 10 ** 13), Fraction(2))
+    entry = get("so3", alphas=alphas, exact=True)
+    assert (entry.expected["kill_dim"], entry.expected["ch_dim"]) == (0, 3)
+    assert entry.ela.killing_subalgebra().shape[1] == 0
+    assert harmonic_cone(entry.ela).dimension == 3
+    # the float twin keeps its verdict: 1e-13 apart counts as equal
+    twin = get("so3", alphas=(1.0, 1.0 + 1e-13, 2.0))
+    assert (twin.expected["kill_dim"], twin.expected["ch_dim"]) == (1, 4)
+    assert twin.ela.killing_subalgebra().shape[1] == 1
+
+
+def test_exact_aff2solv_a_hair_off_the_degeneration_builds():
+    entry = get("aff2solv", beta=-1 + Fraction(1, 10 ** 13), exact=True)
+    assert entry.expected["u_covector"] == [0, 0, Fraction(1, 10 ** 13)]
+    assert not entry.ela.is_unimodular()
+    with pytest.raises(CatalogError, match="unimodular degeneration"):
+        get("aff2solv", beta=Fraction(-1), exact=True)
+    with pytest.raises(CatalogError, match="unimodular degeneration"):
+        get("aff2solv", beta=-1 + 1e-13)
+
+
+_OFF_IDENTITY = [[2, 1, 0], [1, 2, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("name, params", [(name, {}) for name in lieharm.names()] + [
+    ("e1", {"gram": [[2, 1], [1, 1]]}), ("heis3", {"gram": _OFF_IDENTITY}),
+    ("so3", {"alphas": (1, 2, 3)}), ("aff2solv", {"beta": Fraction(1, 3), "gram": _OFF_IDENTITY})])
+def test_exact_levi_civita_is_metric_compatible_exactly(name, params):
+    assert get(name, exact=True, **params).ela.levi_civita().compatibility_defect() == 0.0
+
+
+def test_inner_product_norm_in_both_modes():
+    gram = [[2, 1], [1, 3]]                # |(1, -1)|^2 = 2 - 2 + 3
+    exact = InnerProduct.of(gram, exact=True)
+    assert exact.norm(la.as_matrix([1, -1], True)) == pytest.approx(3 ** 0.5)
+    assert InnerProduct.of(gram).norm([1.0, -1.0]) == pytest.approx(3 ** 0.5)
+    heis = get("heis3", gram=_OFF_IDENTITY, exact=True).ela
+    assert heis.norm(heis.basis(0)) == pytest.approx(2 ** 0.5)
+
+
+#: the functions that may branch on the scalar mode, and why the branch stays
+MODE_BRANCHES = {
+    "_check_cross": "decision helper: exact routes must be equal",
+    "_negligible": "decision helper: an exact value is zero only when it is zero",
+    "jacobi_defect": "float sums arrive as squared norms, exact ones as whole rows",
+    "_jacobi_sums": "float blocks accumulate squared norms within BLOCK_ELEMENTS",
+    "second_fundamental": "the float rule holds each pair to its own scale",
+    "quotient_metric": "the metric-orthonormal complement is irrational",
+    "_sym_coordinates": "the Frobenius unit 1/sqrt(2) is irrational",
+    "parse_scalar": "parses a document in the requested mode",
+    "EuclideanLieAlgebra.__init__": "mode-consistency check",
+    "LieAlgebraMap.__post_init__": "mode-consistency check",
+    "Automorphism.__post_init__": "mode-consistency check",
+}
+
+_MODE_NAMES = {"exact", "is_exact", "_is_exact_route"}
+
+
+def _reads_mode(test) -> bool:
+    return any(isinstance(n, ast.Name) and n.id in _MODE_NAMES
+               or isinstance(n, ast.Attribute) and n.attr in _MODE_NAMES
+               for n in ast.walk(test))
+
+
+def _mode_branches(tree):
+    """``(function, line)`` of every ``if``, ternary or ``while`` whose test
+    reads the scalar mode, attributed to the innermost enclosing function as
+    ``Class.method`` or ``function``."""
+    found = []
+
+    def visit(node, func, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.If, ast.IfExp, ast.While)) and _reads_mode(child.test):
+                found.append((func, child.lineno))
+            if isinstance(child, ast.ClassDef):
+                visit(child, func, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{cls}.{child.name}" if cls else child.name, None)
+            else:
+                visit(child, func, cls)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_only_the_kept_functions_branch_on_the_scalar_mode():
+    """Each kernel has one code path for both scalar modes: outside ``_linalg``
+    only the functions of ``MODE_BRANCHES`` test whether data are exact."""
+    src = Path(lieharm.__file__).parent
+    found = [(path.name, func, line)
+             for path in sorted(src.glob("*.py")) if path.name != "_linalg.py"
+             for func, line in _mode_branches(ast.parse(path.read_text()))]
+    assert [f"{name}:{line} in {func}" for name, func, line in found
+            if func not in MODE_BRANCHES] == []
+    assert {func for _, func, _ in found} == set(MODE_BRANCHES)    # no stale entry
+    probe = ("def f(a, exact):\n    if exact:\n        pass\n    x = 1 if a.exact else 2\n"
+             "    while la.is_exact(a):\n        pass\n    return _is_exact_route(a) or x\n"
+             "class C:\n    def g(self):\n        return 0 if self.exact else 1\n")
+    assert _mode_branches(ast.parse(probe)) == [("f", 2), ("f", 4), ("f", 5), ("C.g", 10)]
