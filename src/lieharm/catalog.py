@@ -31,6 +31,7 @@ from .core import (
     second_fundamental,
 )
 from .cone import (
+    SL2_BRACKETS,
     Automorphism,
     automorphism_trace_form,
     exp_adjoint,
@@ -69,12 +70,20 @@ class CatalogEntry:
 _PARAM_TOL = Tolerance(1e-12, 0.0)
 
 
-def _gram(dim: int, gram, exact: bool) -> InnerProduct:
+def _entry(name: str, dim: int, brackets, gram, exact: bool, expected: Dict[str, object],
+           at_default: Optional[Dict[str, object]] = None, alg_name: Optional[str] = None,
+           **extras) -> CatalogEntry:
+    """The entry ``name`` of the algebra ``brackets`` (named ``alg_name``,
+    default ``name``) with the Gram matrix ``gram`` (None: the identity);
+    the ``at_default`` values are expected only for the identity."""
+    alg_name = alg_name or name
+    alg = LieAlgebra.from_brackets(dim, brackets, name=alg_name, exact=exact)
     if gram is None:
-        return InnerProduct.identity(dim, exact)
-    if isinstance(gram, InnerProduct):
-        return gram
-    return InnerProduct.of(gram, exact)
+        inner = InnerProduct.identity(dim, exact)
+        expected.update(at_default or {})
+    else:
+        inner = InnerProduct.of(gram, exact)
+    return CatalogEntry(name, EuclideanLieAlgebra(alg, inner, name=alg_name), expected, extras)
 
 
 def _positive(name: str, *values) -> None:
@@ -87,53 +96,33 @@ def _entry_e1(a=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     """Two-dimensional non-abelian algebra [e, f] = a e."""
     if a == 0:
         raise CatalogError("e1: the bracket coefficient must be nonzero")
-    alg = LieAlgebra.from_brackets(2, {(0, 1): [a, 0]},
-                                   name="e1", exact=exact)
-    ela = EuclideanLieAlgebra(alg, _gram(2, gram, exact), name="e1")
-    expected: Dict[str, object] = {
+    return _entry("e1", 2, {(0, 1): [a, 0]}, gram, exact, {
         "unimodular": False,
         "kill_dim": 0,                       # holds for every metric
         "u_covector": la.as_matrix([0, -a], exact).tolist(),   # tr(ad_v), metric-independent
-    }
-    if gram is None:
-        expected["ch_dim"] = 1
-    return CatalogEntry("e1", ela, expected)
+    }, {"ch_dim": 1})
 
 
 def _entry_heis3(alpha=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     """Heisenberg algebra in the ordering (z, f, g) with [f, g] = alpha z."""
     _positive("heis3", alpha)
-    alg = LieAlgebra.from_brackets(3, {(1, 2): [alpha, 0, 0]},
-                                   name="heis3", exact=exact)
-    ela = EuclideanLieAlgebra(alg, _gram(3, gram, exact), name="heis3")
-    expected: Dict[str, object] = {
+    return _entry("heis3", 3, {(1, 2): [alpha, 0, 0]}, gram, exact, {
         "unimodular": True,
         "u_covector": la.zeros(3, exact).tolist(),
-    }
-    if gram is None:
-        expected["kill_dim"] = 1
-        expected["ch_dim"] = 4
-    return CatalogEntry("heis3", ela, expected)
+    }, {"kill_dim": 1, "ch_dim": 4})
 
 
 def _entry_sl2(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     """Split simple algebra in the basis (h, e, f): [h,e]=2e, [h,f]=-2f,
     [e,f]=h; metric diag(alphas)."""
     _positive("sl2", *alphas)
-    alg = LieAlgebra.from_brackets(3, {
-        (0, 1): [0, 2, 0],
-        (0, 2): [0, 0, -2],
-        (1, 2): [1, 0, 0],
-    }, name="sl2", exact=exact)
     gram = [[alphas[0], 0, 0], [0, alphas[1], 0], [0, 0, alphas[2]]]
-    ela = EuclideanLieAlgebra(alg, InnerProduct.of(gram, exact), name="sl2")
-    expected: Dict[str, object] = {
+    return _entry("sl2", 3, SL2_BRACKETS, gram, exact, {
         "unimodular": True,
         "u_covector": la.zeros(3, exact).tolist(),
         "kill_dim": 0,
         "ch_dim": 3,
-    }
-    return CatalogEntry("sl2", ela, expected, extras={"alphas": tuple(alphas)})
+    }, alphas=tuple(alphas))
 
 
 def _entry_so3(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
@@ -145,14 +134,8 @@ def _entry_so3(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     subalgebra is 1-dimensional, giving 3 + 1 = 4.
     """
     _positive("so3", *alphas)
-    alg = LieAlgebra.from_brackets(3, {
-        (0, 1): [0, 0, 1],
-        (1, 2): [1, 0, 0],
-        (0, 2): [0, -1, 0],
-    }, name="so3", exact=exact)
     gram = [[alphas[0], 0, 0], [0, alphas[1], 0], [0, 0, alphas[2]]]
-    ela = EuclideanLieAlgebra(alg, InnerProduct.of(gram, exact), name="so3")
-    a1, a2, a3 = ela.gram.diagonal().tolist()       # the parameters as the entry holds them
+    a1, a2, a3 = la.as_matrix(alphas, exact).tolist()   # the Gram diagonal the entry holds
     n_eq = sum(_negligible(x - y, _PARAM_TOL, 0.0, norm=abs)
                for x, y in ((a1, a2), (a1, a3), (a2, a3)))
     if n_eq == 3:
@@ -161,14 +144,17 @@ def _entry_so3(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
         kill, ch = 1, 4
     else:
         kill, ch = 0, 3
-    expected: Dict[str, object] = {
+    return _entry("so3", 3, {
+        (0, 1): [0, 0, 1],
+        (1, 2): [1, 0, 0],
+        (0, 2): [0, -1, 0],
+    }, gram, exact, {
         "unimodular": True,
         "u_covector": la.zeros(3, exact).tolist(),
         "kill_dim": kill,
         "ch_dim": ch,
         "biinvariant": n_eq == 3,
-    }
-    return CatalogEntry("so3", ela, expected, extras={"alphas": tuple(alphas)})
+    }, alphas=tuple(alphas))
 
 
 def _entry_nilp5(gram=None, exact: bool = False) -> CatalogEntry:
@@ -176,51 +162,37 @@ def _entry_nilp5(gram=None, exact: bool = False) -> CatalogEntry:
     [e1,e2]=e3, [e1,e3]=e5, [e2,e4]=e5, with the minimal codimension-one
     subalgebra span{e1,e2,e3,e5}."""
     e3v, e5v = [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]
-    alg = LieAlgebra.from_brackets(5, {(0, 1): e3v, (0, 2): e5v, (1, 3): e5v},
-                                   name="nilp5", exact=exact)
-    ela = EuclideanLieAlgebra(alg, _gram(5, gram, exact), name="nilp5")
-    expected: Dict[str, object] = {
+    return _entry("nilp5", 5, {(0, 1): e3v, (0, 2): e5v, (1, 3): e5v}, gram, exact, {
         "unimodular": True,
         "u_covector": la.zeros(5, exact).tolist(),
         "minimal_subalgebra": [0, 1, 2, 4],
-    }
-    if gram is None:
-        expected["kill_dim"] = 1
-        expected["ch_dim"] = 11
-    return CatalogEntry("nilp5", ela, expected)
+    }, {"kill_dim": 1, "ch_dim": 11})
 
 
 def _entry_abelian(n=3, gram=None, exact: bool = False) -> CatalogEntry:
-    n = int(n)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise CatalogError(f"abelian: dimension must be an integer, got {n!r}")
     if n < 1:
         raise CatalogError("abelian: dimension must be at least 1")
-    alg = LieAlgebra.from_brackets(n, {}, name=f"abelian{n}", exact=exact)
-    ela = EuclideanLieAlgebra(alg, _gram(n, gram, exact), name=f"abelian{n}")
-    expected: Dict[str, object] = {
+    return _entry("abelian", n, {}, gram, exact, {
         "unimodular": True,
         "u_covector": la.zeros(n, exact).tolist(),
         "kill_dim": n,
         "ch_dim": n * (n - 1) // 2 + n,
         "biinvariant": True,
-    }
-    return CatalogEntry("abelian", ela, expected)
+    }, alg_name=f"abelian{n}")
 
 
 def _entry_e2flat(lam=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     """Flat non-abelian model: [e3,e1] = lam e2, [e3,e2] = -lam e1."""
     _positive("e2flat", lam)
-    alg = LieAlgebra.from_brackets(3, {
+    return _entry("e2flat", 3, {
         (0, 2): [0, -lam, 0],
         (1, 2): [lam, 0, 0],
-    }, name="e2flat", exact=exact)
-    ela = EuclideanLieAlgebra(alg, _gram(3, gram, exact), name="e2flat")
-    expected: Dict[str, object] = {
+    }, gram, exact, {
         "unimodular": True,
         "u_covector": la.zeros(3, exact).tolist(),
-    }
-    if gram is None:
-        expected.update({"kill_dim": 1, "ch_dim": 4, "flat": True})
-    return CatalogEntry("e2flat", ela, expected)
+    }, {"kill_dim": 1, "ch_dim": 4, "flat": True})
 
 
 def _entry_aff2solv(beta=0.5, gram=None, exact: bool = False) -> CatalogEntry:
@@ -228,18 +200,13 @@ def _entry_aff2solv(beta=0.5, gram=None, exact: bool = False) -> CatalogEntry:
     u_covector = la.as_matrix([0, 0, 1 + beta], exact)
     if _negligible(u_covector[2], _PARAM_TOL, 0.0, norm=abs):
         raise CatalogError("aff2solv: beta = -1 is the unimodular degeneration")
-    alg = LieAlgebra.from_brackets(3, {
+    return _entry("aff2solv", 3, {
         (0, 2): [-1, 0, 0],
         (1, 2): [0, -beta, 0],
-    }, name="aff2solv", exact=exact)
-    ela = EuclideanLieAlgebra(alg, _gram(3, gram, exact), name="aff2solv")
-    expected: Dict[str, object] = {
+    }, gram, exact, {
         "unimodular": False,
         "u_covector": u_covector.tolist(),
-    }
-    if gram is None:
-        expected["kill_dim"] = 0
-    return CatalogEntry("aff2solv", ela, expected)
+    }, {"kill_dim": 0})
 
 
 def _entry_tangent(base: str = "e1", tol: Tolerance = DEFAULT_TOL,

@@ -69,7 +69,7 @@ def _check_cross(name: str, first, second, tol: Tolerance, scale: float | None =
     Otherwise :class:`CrossCheckError` is raised.
     """
     exact = _is_exact_route(first) and _is_exact_route(second)
-    if exact and not np.any(first - second):
+    if exact and not _nonzero(first - second):
         return 0.0
     defect = _float_gap(first, second, norm)
     if scale is None:
@@ -91,8 +91,14 @@ def _negligible(value, tol: Tolerance, scale: float, factor: float = 1.0, norm=l
     an exact value (a Fraction or int, or an object array) only when it is
     zero, a float value when ``norm(value) <= factor * tol.threshold(scale)``."""
     if _is_exact_route(value):
-        return not np.any(value)
+        return not _nonzero(value)
     return bool(norm(value) <= factor * tol.threshold(scale))
+
+
+def _nonzero(x) -> bool:
+    """Whether an exact value has a nonzero entry: an array through ``any``,
+    a scalar directly, without the cost of converting it to an array."""
+    return bool(x.any() if isinstance(x, np.ndarray) else x)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,32 @@ def _array(value, what: str):
     return value
 
 
+def _index(value, what: str) -> int:
+    """``value`` when it is an integer (Python or NumPy); a bool, a float or
+    a string is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _entries(entries, bound: int, what: str, bound_name: str):
+    """``(i, j, coeffs)`` of each ``{"i", "j", "coeffs"}`` entry of the
+    ``what`` list, with ``0 <= i < j < bound`` and no pair given twice."""
+    seen = set()
+    for ent in _array(entries, f"{what} list"):
+        try:
+            i, j, coeffs = ent["i"], ent["j"], ent["coeffs"]
+        except (KeyError, TypeError) as exc:
+            raise SpecError(f"bad {what} entry {ent!r}") from exc
+        i, j = _index(i, f"{what} index"), _index(j, f"{what} index")
+        if not 0 <= i < j < bound:
+            raise SpecError(f"{what} indices ({i},{j}) need 0 <= i < j < {bound_name}")
+        if (i, j) in seen:
+            raise SpecError(f"duplicate {what} entry for ({i},{j})")
+        seen.add((i, j))
+        yield i, j, coeffs
+
+
 def _parse_vector(values, n: int, exact: bool):
     out = la.zeros(n, exact)
     if len(_array(values, f"vector of length {n}")) != n:
@@ -139,35 +165,20 @@ def _resolve(ref, base_dir: Optional[str]) -> dict:
 def algebra_from_doc(doc: dict, exact: bool = False,
                      tol: Tolerance = DEFAULT_TOL) -> EuclideanLieAlgebra:
     """Build a Euclidean Lie algebra from an algebra document."""
-    try:
-        dim = int(doc["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError("algebra document needs an integer 'dim'") from exc
+    dim = _index(doc.get("dim"), "algebra document's 'dim'")
     if dim < 1:
         raise SpecError("'dim' must be positive")
     name = str(doc.get("name", ""))
     brackets = {}
-    for ent in _array(doc.get("brackets", []), "'brackets' list"):
-        try:
-            i, j = int(ent["i"]), int(ent["j"])
-            coeffs = ent["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"bad bracket entry {ent!r}") from exc
-        if not 0 <= i < j < dim:
-            raise SpecError(f"bracket indices ({i},{j}) need 0 <= i < j < dim")
+    for i, j, coeffs in _entries(doc.get("brackets", []), dim, "bracket", "dim"):
         vec = la.zeros(dim, exact)
         for pair in _array(coeffs, "'coeffs' list"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise SpecError(f"coefficient entries are [k, value] pairs, got {pair!r}")
-            try:
-                k = int(pair[0])
-            except (TypeError, ValueError) as exc:
-                raise SpecError(f"coefficient index {pair[0]!r} is not an integer") from exc
+            k = _index(pair[0], "coefficient index")
             if not 0 <= k < dim:
                 raise SpecError(f"coefficient index {k} out of range")
             vec[k] = parse_scalar(pair[1], exact)
-        if (i, j) in brackets:
-            raise SpecError(f"duplicate bracket entry for ({i},{j})")
         brackets[(i, j)] = vec
     alg = LieAlgebra.from_brackets(dim, brackets, name=name, exact=exact, tol=tol)
     metric = doc.get("metric", "identity")
@@ -245,18 +256,8 @@ def map_to_doc(m: LieAlgebraMap) -> dict:
 
 def _parse_twist(entries, dim_base: int, dim_kernel: int, exact: bool):
     omega = la.zeros((dim_base, dim_base, dim_kernel), exact)
-    seen = set()
-    for ent in _array([] if entries is None else entries, "twist list"):
-        try:
-            i, j = int(ent["i"]), int(ent["j"])
-            coeffs = ent["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"bad twist entry {ent!r}") from exc
-        if not 0 <= i < j < dim_base:
-            raise SpecError(f"twist indices ({i},{j}) need 0 <= i < j < base dim")
-        if (i, j) in seen:
-            raise SpecError(f"duplicate twist entry for ({i},{j})")
-        seen.add((i, j))
+    for i, j, coeffs in _entries([] if entries is None else entries, dim_base, "twist",
+                                 "base dim"):
         vec = _parse_vector(coeffs, dim_kernel, exact)
         omega[i, j] = vec
         omega[j, i] = -vec

@@ -203,7 +203,8 @@ def bitension(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
-    """tau2 and the norms of its three terms, given ``_tension_terms(m)``."""
+    """tau2 and its scale, one plus the norms of its three terms, given
+    ``_tension_terms(m)``."""
     tgt = m.target
     lc = tgt.levi_civita()
     w = _frame_weights(m)
@@ -223,14 +224,9 @@ def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
                 - la.matmul(tgt.bracket(tau, u_xi), g))
     dual = la.matmul(tgt.gram_inv, pairings)
 
-    norms = {
-        "second_order": la.norm(t_second),
-        "curvature": la.norm(t_curv),
-        "drift": la.norm(t_drift),
-    }
-    scale = 1.0 + norms["second_order"] + norms["curvature"] + norms["drift"]
+    scale = 1.0 + la.norm(t_second) + la.norm(t_curv) + la.norm(t_drift)
     _check_cross("bitension (curvature formula vs trace identity)", tau2, dual, tol, scale)
-    return tau2, norms
+    return tau2, scale
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +290,10 @@ def classify(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> MapClassificatio
     """
     require_hom(m, tol)
     u_src, u_xi, tau = _tension_terms(m, tol)
-    tau2, norms = _bitension_terms(m, tol, u_src, u_xi, tau)
+    tau2, b_scale = _bitension_terms(m, tol, u_src, u_xi, tau)
 
     h_scale = 1.0 + la.norm(m.matrix) * la.norm(u_src) + la.norm(u_xi)
     harmonic = _negligible(tau, tol, h_scale)
-    b_scale = 1.0 + norms["second_order"] + norms["curvature"] + norms["drift"]
     flags = {
         "harmonic": harmonic,
         "biharmonic": harmonic or _negligible(tau2, tol, b_scale),

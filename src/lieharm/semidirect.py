@@ -239,7 +239,8 @@ def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
     proj_matrix = la.zeros((dh, dim), exact)
     proj_matrix[:, dn:] = la.eye(dh, exact)
     proj = LieAlgebraMap(total, sd.base_target(), proj_matrix, name="projection")
-    _check_cross("projection homomorphism", proj.hom_defect(), 0.0, tol, _hom_scale(proj))
+    _check_cross("projection homomorphism", proj._hom_residual(), 0, tol, _hom_scale(proj),
+                 norm=la.max_row_norm)
 
     tau_proj = tension(proj, tol)
     idm = LieAlgebraMap.identity(sd.base_domain(), sd.base_target())

@@ -81,6 +81,65 @@ def test_rejected_parameters():
         get("e2flat", lam=-2.0)
 
 
+#: per builder: (parameters of the non-default metric, algebra name, expected
+#: keys in print order with the default metric, the keys left with the
+#: non-default metric, extras with the non-default metric); the non-default
+#: metric is 2 I, given as a Gram matrix or as the diagonal ``alphas``
+ENTRY_SHAPES = {
+    "e1": ({"gram": "2I"}, "e1", ["unimodular", "kill_dim", "u_covector", "ch_dim"],
+           ["unimodular", "kill_dim", "u_covector"], {}),
+    "heis3": ({"gram": "2I"}, "heis3", ["unimodular", "u_covector", "kill_dim", "ch_dim"],
+              ["unimodular", "u_covector"], {}),
+    "sl2": ({"alphas": (2, 2, 2)}, "sl2", ["unimodular", "u_covector", "kill_dim", "ch_dim"],
+            ["unimodular", "u_covector", "kill_dim", "ch_dim"], {"alphas": (2, 2, 2)}),
+    "so3": ({"alphas": (2, 2, 2)}, "so3",
+            ["unimodular", "u_covector", "kill_dim", "ch_dim", "biinvariant"],
+            ["unimodular", "u_covector", "kill_dim", "ch_dim", "biinvariant"],
+            {"alphas": (2, 2, 2)}),
+    "nilp5": ({"gram": "2I"}, "nilp5",
+              ["unimodular", "u_covector", "minimal_subalgebra", "kill_dim", "ch_dim"],
+              ["unimodular", "u_covector", "minimal_subalgebra"], {}),
+    "abelian": ({"gram": "2I"}, "abelian3",
+                ["unimodular", "u_covector", "kill_dim", "ch_dim", "biinvariant"],
+                ["unimodular", "u_covector", "kill_dim", "ch_dim", "biinvariant"], {}),
+    "e2flat": ({"gram": "2I"}, "e2flat",
+               ["unimodular", "u_covector", "kill_dim", "ch_dim", "flat"],
+               ["unimodular", "u_covector"], {}),
+    "aff2solv": ({"gram": "2I"}, "aff2solv", ["unimodular", "u_covector", "kill_dim"],
+                 ["unimodular", "u_covector"], {}),
+}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("name", sorted(ENTRY_SHAPES))
+def test_entry_shapes_with_default_and_other_metric(name, exact):
+    """Every parametrized builder: the expected keys in the order
+    ``lieharm catalog NAME`` prints them, the keys that hold only for the
+    default metric, the entry and algebra names, and the extras."""
+    other, alg_name, default_keys, other_keys, other_extras = ENTRY_SHAPES[name]
+    default = get(name, exact=exact)
+    dim = default.ela.dim
+    params = {k: (2 * np.eye(dim, dtype=int)).tolist() if v == "2I" else v
+              for k, v in other.items()}
+    changed = get(name, exact=exact, **params)
+    for entry in (default, changed):
+        assert (entry.name, entry.ela.name, entry.ela.alg.name) == (name, alg_name, alg_name)
+        assert entry.ela.exact == exact
+    assert list(default.expected) == default_keys
+    assert list(changed.expected) == other_keys
+    assert default.extras == ({"alphas": (1.0, 1.0, 1.0)} if other_extras else {})
+    assert changed.extras == other_extras
+    assert np.array_equal(changed.ela.gram, 2 * np.eye(dim))
+    assert {k: default.expected[k] for k in other_keys} == changed.expected
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, "2", True])
+def test_abelian_dimension_must_be_an_integer(n):
+    with pytest.raises(CatalogError, match="must be an integer"):
+        get("abelian", n=n)
+    assert get("abelian", n=np.int64(2)).ela.name == "abelian2"
+
+
 def test_exact_entries():
     e = get("e1", a=Fraction(3, 2), exact=True)
     assert e.ela.exact

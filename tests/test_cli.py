@@ -231,6 +231,13 @@ MALFORMED = {
     "action not a list": ("semidirect", {"kernel": E1_DOC, "base": E1_DOC, "action": 5}),
     "target_metric not a matrix": ("semidirect", {
         "kernel": E1_DOC, "base": E1_DOC, "target_metric": 7, "embedding": [[1, 0], [0, 1]]}),
+    "bracket indices floats": (
+        "check", {"dim": 2, "brackets": [{"i": 0.9, "j": 1.5, "coeffs": [[0.7, 1]]}]}),
+    "dim a bool": ("check", {"dim": True}),
+    "dim a string": ("check", {"dim": "2"}),
+    "twist index a float": ("semidirect", {
+        "kernel": {"dim": 1}, "base": {"dim": 2}, "action": [[[0]], [[0]]],
+        "twist": [{"i": 0, "j": 1.0, "coeffs": [1]}]}),
     "duplicate twist": ("semidirect", {
         "kernel": {"dim": 1}, "base": {"dim": 2}, "action": [[[0]], [[0]]],
         "twist": [{"i": 0, "j": 1, "coeffs": [1]}, {"i": 0, "j": 1, "coeffs": [0]}]}),

@@ -232,3 +232,9 @@ def test_semidirect_document_shape_errors():
         lio.semidirect_from_doc({**doc, "action": [np.zeros((3, 3)).tolist()]})
     with pytest.raises(SpecError, match="needs 'embedding' or 'action'"):
         lio.semidirect_from_doc(doc)
+
+
+def test_numpy_integer_indices_are_accepted():
+    doc = {"dim": np.int64(2), "brackets": [{"i": np.int32(0), "j": 1,
+                                             "coeffs": [[np.int8(0), 1]]}]}
+    assert np.array_equal(lio.algebra_from_doc(doc).alg.c, get("e1").ela.alg.c)

@@ -79,13 +79,23 @@ def test_tangent_exact_mode():
 def test_projection_homomorphism_check_allows_ten_thresholds(factor, raises, monkeypatch):
     """The assembled projection's bracket defect may reach ten thresholds at
     the homomorphism scale of the projection, and no more."""
-    monkeypatch.setattr(LieAlgebraMap, "hom_defect",
-                        lambda m: factor * 10.0 * DEFAULT_TOL.threshold(maps._hom_scale(m)))
+    monkeypatch.setattr(LieAlgebraMap, "_hom_residual", lambda m: np.array(
+        [[factor * 10.0 * DEFAULT_TOL.threshold(maps._hom_scale(m))]]))
     data = tangent_semidirect(get("e1").ela)
     if raises:
         with pytest.raises(CrossCheckError, match="projection homomorphism"):
             build_semidirect(data)
     else:
+        build_semidirect(data)
+
+
+def test_exact_projection_homomorphism_check_is_exact(monkeypatch):
+    """An exact projection must be a homomorphism exactly: a residual row of
+    norm 10**-30, far under any float threshold, is refused."""
+    data = tangent_semidirect(get("e1", exact=True).ela)
+    monkeypatch.setattr(LieAlgebraMap, "_hom_residual",
+                        lambda m: np.array([[Fraction(1, 10 ** 30)]], dtype=object))
+    with pytest.raises(CrossCheckError, match="projection homomorphism"):
         build_semidirect(data)
 
 

@@ -378,21 +378,26 @@ THRESHOLD_READERS = {"_check_cross", "_negligible", "nullspace", "solve_linear",
                      "is_positive_definite"}
 
 
-def _threshold_calls(tree):
-    """``(function, line)`` of every ``.threshold(...)`` call, attributed to
-    the innermost enclosing named function (a lambda belongs to its own)."""
+def _calls(tree, callee):
+    """``(function, line)`` of every call whose callee satisfies ``callee``,
+    attributed to the innermost enclosing named function (a lambda belongs
+    to its own)."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "threshold"):
+            if isinstance(child, ast.Call) and callee(child.func):
                 found.append((func, child.lineno))
             visit(child, name)
 
     visit(tree, None)
     return found
+
+
+def _threshold_calls(tree):
+    """``(function, line)`` of every ``.threshold(...)`` call."""
+    return _calls(tree, lambda f: isinstance(f, ast.Attribute) and f.attr == "threshold")
 
 
 def test_only_the_decision_helpers_read_a_threshold():
@@ -557,3 +562,18 @@ def test_only_the_kept_functions_branch_on_the_scalar_mode():
              "    while la.is_exact(a):\n        pass\n    return _is_exact_route(a) or x\n"
              "class C:\n    def g(self):\n        return 0 if self.exact else 1\n")
     assert _mode_branches(ast.parse(probe)) == [("f", 2), ("f", 4), ("f", 5), ("C.g", 10)]
+
+
+def _int_calls(tree):
+    """``(function, line)`` of every ``int(...)`` call."""
+    return _calls(tree, lambda f: isinstance(f, ast.Name) and f.id == "int")
+
+
+def test_documents_never_truncate_an_index():
+    """``int(...)`` turns 1.5 into 1 and True into 1: outside ``format_scalar``,
+    which writes exact integers, ``io`` reads every index through ``_index``."""
+    tree = ast.parse((Path(lieharm.__file__).parent / "io.py").read_text())
+    assert [f"io.py:{line} in {func}" for func, line in _int_calls(tree)
+            if func != "format_scalar"] == []
+    assert _int_calls(ast.parse("def f(x):\n    return int(x) + g(int)\nint(2)\n")) == [
+        ("f", 2), (None, 3)]
