@@ -11,6 +11,7 @@ examples and the gate the command-line ``catalog`` command reports on.
 
 from __future__ import annotations
 
+import math
 import os
 import traceback
 from dataclasses import dataclass, field
@@ -86,14 +87,31 @@ def _entry(name: str, dim: int, brackets, gram, exact: bool, expected: Dict[str,
     return CatalogEntry(name, EuclideanLieAlgebra(alg, inner, name=alg_name), expected, extras)
 
 
+def _finite(name: str, *values) -> None:
+    """Refuse NaN and infinities; a comparison with inf, unlike ``float()``,
+    takes an exact value of any size."""
+    for v in values:
+        if not -math.inf < v < math.inf:
+            raise CatalogError(f"{name}: parameters must be finite, got {v}")
+
+
 def _positive(name: str, *values) -> None:
     for v in values:
-        if not v > 0:
-            raise CatalogError(f"{name}: parameters must be positive, got {v}")
+        if not 0 < v < math.inf:
+            raise CatalogError(f"{name}: parameters must be positive and finite, got {v}")
+
+
+def _diagonal(name: str, alphas) -> List[List[object]]:
+    """The Gram matrix diag(alphas) of three positive ``alphas``."""
+    if len(alphas) != 3:
+        raise CatalogError(f"{name}: alphas must be three values, got {len(alphas)}")
+    _positive(name, *alphas)
+    return [[alphas[0], 0, 0], [0, alphas[1], 0], [0, 0, alphas[2]]]
 
 
 def _entry_e1(a=1.0, gram=None, exact: bool = False) -> CatalogEntry:
     """Two-dimensional non-abelian algebra [e, f] = a e."""
+    _finite("e1", a)
     if a == 0:
         raise CatalogError("e1: the bracket coefficient must be nonzero")
     return _entry("e1", 2, {(0, 1): [a, 0]}, gram, exact, {
@@ -115,8 +133,7 @@ def _entry_heis3(alpha=1.0, gram=None, exact: bool = False) -> CatalogEntry:
 def _entry_sl2(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     """Split simple algebra in the basis (h, e, f): [h,e]=2e, [h,f]=-2f,
     [e,f]=h; metric diag(alphas)."""
-    _positive("sl2", *alphas)
-    gram = [[alphas[0], 0, 0], [0, alphas[1], 0], [0, 0, alphas[2]]]
+    gram = _diagonal("sl2", alphas)
     return _entry("sl2", 3, SL2_BRACKETS, gram, exact, {
         "unimodular": True,
         "u_covector": la.zeros(3, exact).tolist(),
@@ -133,8 +150,7 @@ def _entry_so3(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     n(n-1)/2 + dim Kill: with exactly two equal parameters the Killing
     subalgebra is 1-dimensional, giving 3 + 1 = 4.
     """
-    _positive("so3", *alphas)
-    gram = [[alphas[0], 0, 0], [0, alphas[1], 0], [0, 0, alphas[2]]]
+    gram = _diagonal("so3", alphas)
     a1, a2, a3 = la.as_matrix(alphas, exact).tolist()   # the Gram diagonal the entry holds
     n_eq = sum(_negligible(x - y, _PARAM_TOL, 0.0, norm=abs)
                for x, y in ((a1, a2), (a1, a3), (a2, a3)))
@@ -197,6 +213,7 @@ def _entry_e2flat(lam=1.0, gram=None, exact: bool = False) -> CatalogEntry:
 
 def _entry_aff2solv(beta=0.5, gram=None, exact: bool = False) -> CatalogEntry:
     """Non-unimodular solvable family [e3,e1] = e1, [e3,e2] = beta e2."""
+    _finite("aff2solv", beta)
     u_covector = la.as_matrix([0, 0, 1 + beta], exact)
     if _negligible(u_covector[2], _PARAM_TOL, 0.0, norm=abs):
         raise CatalogError("aff2solv: beta = -1 is the unimodular degeneration")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -90,8 +91,8 @@ def _emit(args, doc: Dict[str, object], text_lines: List[str]) -> None:
 
 
 def _tolerance(args) -> Tolerance:
-    if args.tol <= 0:
-        raise lio.SpecError("--tol must be positive")
+    if not 0 < args.tol < math.inf:            # refuses NaN too
+        raise lio.SpecError(f"--tol must be positive and finite, got {args.tol}")
     return Tolerance(args.tol, args.tol)
 
 

@@ -210,12 +210,12 @@ def jacobi_defect(alg: LieAlgebra) -> float:
     if alg.dim < 3:
         return 0.0
     acc, d = _jacobi_sums(alg)
-    return la.max_row_norm(la.over(acc, d * d)) if alg.exact else math.sqrt(acc.max())
+    return math.sqrt(acc.max() / d ** 4)     # an exact max is an int: one rounding
 
 
 def _jacobi_sums(alg: LieAlgebra):
     """``(acc, d)`` for the triples i < j < k (dimension 3 or more): the cyclic
-    sums' squared norms (float, d = 1), or the sums as numerators over d**2.
+    sums' squared norms over ``d**4``, exact ones as integers (float: d = 1).
 
     The table ``T[p, x, m] = [[e_a, e_b], e_x]_m`` is formed once, for the
     strict pairs p = (a < b) only: one product of the brackets ``c[a, b]``
@@ -227,20 +227,15 @@ def _jacobi_sums(alg: LieAlgebra):
     largest is taken at the end.  The blocks write their product and their
     gathered terms with ``out=`` into buffers allocated once per call (a
     narrower last block into their C-contiguous front), so a large algebra
-    does not map fresh pages for every block.  Exact terms are summed as
-    integer numerators over one ``d**2``; there the blocks fill each
-    triple's whole row, which becomes Fractions once, so its norm is the
-    float norm of the exact sum, summed in the same order at any block size.
+    does not map fresh pages for every block.
     """
     n = alg.dim
     c, d = la.numerators(alg.c)
     ii, jj = la.strict_pairs(n)
     left = c[ii, jj]                               # [p, l] = [e_a, e_b]
     ij, jk, ik = _cyclic_rows(n)
-    # the mode split stays: float rows kept whole would cost 21 MB at dim 64
-    exact = la.is_exact(c)
     pairs, rows, terms = len(ii), len(ii) * n, len(ij)
-    acc = np.empty((terms, n), dtype=object) if exact else np.zeros(terms)
+    acc = np.zeros(terms, dtype=left.dtype)
     step = min(n, max(1, la.BLOCK_ELEMENTS // rows))
     prod = np.empty((pairs, n * step), dtype=left.dtype)
     s_full, g_full = np.empty((2, terms, step), dtype=left.dtype)
@@ -255,17 +250,14 @@ def _jacobi_sums(alg: LieAlgebra):
         t.take(ij, axis=0, out=s, mode="clip")
         s += t.take(jk, axis=0, out=g, mode="clip")
         s -= t.take(ik, axis=0, out=g, mode="clip")
-        if exact:
-            acc[:, lo:hi] = s
-        else:
-            acc += np.einsum("tm,tm->t", s, s)
+        acc += np.einsum("tm,tm->t", s, s)
     return acc, d
 
 
 def check_jacobi(alg: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ``alg`` satisfies the Jacobi identity: within tolerance for a
     float algebra, exactly (every cyclic sum zero) for an exact one."""
-    # the float sums arrive as squared norms, the exact ones as numerators
+    # the sums arrive as squared norms (exact ones as integer numerators)
     return alg.dim < 3 or _negligible(_jacobi_sums(alg)[0], tol, 1.0 + la.norm(alg.c) ** 2,
                                       norm=lambda squares: math.sqrt(squares.max()))
 
@@ -333,7 +325,7 @@ class EuclideanLieAlgebra:
         self.name = name or alg.name
         self._gram_inv = None
         self._levi_civita = None
-        self._unimodular = None
+        self._unimodular = {}       # unimodular vectors, by tolerance
         self._killing = {}          # Killing subalgebras, by tolerance
         self._cones = {}            # harmonic cones, by tolerance (see cone.py)
 
@@ -396,12 +388,12 @@ class EuclideanLieAlgebra:
         sum_i A_{e_i} e_i over an orthonormal basis; disagreement raises
         :class:`CrossCheckError`.
         """
-        if self._unimodular is None:
+        if tol not in self._unimodular:
             by_trace = la.matmul(self.gram_inv, self.alg.ad_traces())
             by_product = self.levi_civita().frame_sum(self.gram_inv)
             _check_cross("unimodular vector", by_trace, by_product, tol)
-            self._unimodular = by_trace
-        return self._unimodular
+            self._unimodular[tol] = by_trace
+        return self._unimodular[tol]
 
     def is_unimodular(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return _negligible(self.unimodular_vector(tol), tol, 1.0 + la.norm(self.alg.c))
@@ -565,12 +557,7 @@ class Subalgebra:
 
     def induced(self) -> EuclideanLieAlgebra:
         """The subalgebra as a Euclidean Lie algebra in its own basis."""
-        b, k, n = self.basis, self.dim, self.parent.dim
-        brackets = la.pair_table(self.parent.alg.c, b, b).reshape(k * k, n).T
-        c = la.solve_linear(b, brackets, self.tol.scaled(100.0)).T.reshape(k, k, k)
-        alg = LieAlgebra.from_tensor(c, exact=self.parent.exact, tol=self.tol.scaled(100.0))
-        inner = InnerProduct(b.T @ self.parent.gram @ b)
-        return EuclideanLieAlgebra(alg, inner)
+        return _on_columns(self.parent, self.basis, self.basis[:, :0], self.tol)
 
     def tangential_projector(self) -> np.ndarray:
         """G-orthogonal projector of the parent onto the subspace."""
@@ -635,13 +622,17 @@ def quotient_metric(ela: EuclideanLieAlgebra, ideal: Subalgebra,
     comp = la.nullspace(b.T @ ela.gram, tol)  # complement: <b_i, .>_G = 0
     if not ela.exact:                         # a metric-orthonormal basis is irrational
         comp = la.orthonormalize_in_metric(comp, ela.gram, tol)
-    q = comp.shape[1]
-    # coordinates of the projection: [w_i, w_j] = sum_a x_a w_a  mod ideal
-    brackets = la.pair_table(ela.alg.c, comp, comp).reshape(q * q, n).T
-    c = la.solve_linear(np.concatenate([comp, b], axis=1), brackets, tol.scaled(100.0))
-    alg = LieAlgebra.from_tensor(c[:q].T.reshape(q, q, q), name=f"{ela.name}/ideal",
-                                 exact=ela.exact, tol=tol.scaled(100.0))
-    quotient = EuclideanLieAlgebra(
-        alg, InnerProduct(comp.T @ ela.gram @ comp), name=f"{ela.name}/ideal"
-    )
-    return quotient, comp
+    return _on_columns(ela, comp, b, tol, name=f"{ela.name}/ideal"), comp
+
+
+def _on_columns(ela: EuclideanLieAlgebra, w: np.ndarray, modulo: np.ndarray, tol: Tolerance,
+                name: str = "") -> EuclideanLieAlgebra:
+    """The algebra on the columns of ``w`` (parent coordinates): its brackets
+    are the coordinates x of ``[w_i, w_j] = sum_a x_a w_a`` modulo the columns
+    of ``modulo``, its metric the restriction of the parent one."""
+    k, n = w.shape[1], ela.dim
+    brackets = la.pair_table(ela.alg.c, w, w).reshape(k * k, n).T
+    c = la.solve_linear(np.concatenate([w, modulo], axis=1), brackets, tol.scaled(100.0))
+    alg = LieAlgebra.from_tensor(c[:k].T.reshape(k, k, k), name=name, exact=ela.exact,
+                                 tol=tol.scaled(100.0))
+    return EuclideanLieAlgebra(alg, InnerProduct(w.T @ ela.gram @ w), name=name)

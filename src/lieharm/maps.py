@@ -107,12 +107,10 @@ class LieAlgebraMap:
 
     def _hom_residual(self) -> np.ndarray:
         """The rows xi[b_i, b_j] - [xi b_i, xi b_j] over basis pairs i < j."""
-        ns, nt = self.source.dim, self.target.dim
         xi = self.matrix
         image = la.matmul(self.source.alg.c, xi.T)                      # [i, j, m]
-        half = la.matmul(xi.T, self.target.alg.c.reshape(nt, nt * nt)).reshape(ns, nt, nt)
-        pushed = la.matmul(xi.T, half)                                  # [i, j, m]
-        ii, jj = la.strict_pairs(ns)
+        pushed = la.pair_table(self.target.alg.c, xi, xi)               # [i, j, m]
+        ii, jj = la.strict_pairs(self.source.dim)
         return (image - pushed)[ii, jj]
 
     def rank(self, tol: Tolerance = DEFAULT_TOL) -> int:

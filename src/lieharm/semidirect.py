@@ -238,12 +238,13 @@ def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
 
     proj_matrix = la.zeros((dh, dim), exact)
     proj_matrix[:, dn:] = la.eye(dh, exact)
-    proj = LieAlgebraMap(total, sd.base_target(), proj_matrix, name="projection")
+    base_target = sd.base_target()
+    proj = LieAlgebraMap(total, base_target, proj_matrix, name="projection")
     _check_cross("projection homomorphism", proj._hom_residual(), 0, tol, _hom_scale(proj),
                  norm=la.max_row_norm)
 
     tau_proj = tension(proj, tol)
-    idm = LieAlgebraMap.identity(sd.base_domain(), sd.base_target())
+    idm = LieAlgebraMap.identity(sd.base_domain(), base_target)
     expected = tension(idm, tol) - action_trace_vector(sd)
     _check_cross("projection tension vs splitting identity", tau_proj, expected, tol)
     return total, proj

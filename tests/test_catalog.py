@@ -81,6 +81,27 @@ def test_rejected_parameters():
         get("e2flat", lam=-2.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+#: parameters each builder refuses: NaN, infinities, and diagonals of other lengths
+REFUSED_PARAMETERS = [
+    ("e1", {"a": NAN}), ("e1", {"a": INF}), ("e1", {"a": -INF}), ("e1", {"a": NAN, "exact": True}),
+    ("heis3", {"alpha": NAN}), ("heis3", {"alpha": INF}),
+    ("e2flat", {"lam": NAN}), ("e2flat", {"lam": INF}),
+    ("aff2solv", {"beta": NAN}), ("aff2solv", {"beta": -INF}),
+    ("so3", {"alphas": (1, INF, 1)}), ("sl2", {"alphas": (1, NAN, 1)}),
+    ("so3", {"alphas": (1, 2)}), ("sl2", {"alphas": (1, 2)}),
+    ("so3", {"alphas": (1, 2, 3, 4)}), ("sl2", {"alphas": (1, 2, 3, 4)}),
+    ("tangent", {"base": "e1", "a": INF}),
+]
+
+
+@pytest.mark.parametrize("name, params", REFUSED_PARAMETERS)
+def test_non_finite_and_missized_parameters_are_refused(name, params):
+    with pytest.raises(CatalogError, match="finite|three values"):
+        get(name, **params)
+
+
 #: per builder: (parameters of the non-default metric, algebra name, expected
 #: keys in print order with the default metric, the keys left with the
 #: non-default metric, extras with the non-default metric); the non-default

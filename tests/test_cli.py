@@ -220,6 +220,23 @@ def test_tol_flag_loosens_hom_acceptance(tmp_path, capsys):
     assert rc_exact == 1 and "not a Lie algebra homomorphism" in out
 
 
+#: three brackets that violate Jacobi: [e0,e1]=e2, [e0,e2]=e0, [e1,e2]=e0
+NON_JACOBI_DOC = {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [[2, 1]]},
+                                         {"i": 0, "j": 2, "coeffs": [[0, 1]]},
+                                         {"i": 1, "j": 2, "coeffs": [[0, 1]]}]}
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+@pytest.mark.parametrize("doc", [HEIS_DOC, NON_JACOBI_DOC], ids=["heis3", "non_jacobi"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol, doc):
+    """An infinite tolerance would accept any bracket as Lie, a NaN one would
+    refuse every float verdict: both are refused before the document is read."""
+    rc, out, err = run(capsys, [f"--tol={tol}", "check", write(tmp_path, "doc.json", doc)])
+    assert (rc, out) == (2, "") and "--tol must be positive and finite" in err
+    assert run(capsys, ["check", write(tmp_path, "doc.json", doc)])[0] == (
+        0 if doc is HEIS_DOC else 1)
+
+
 #: malformed documents, each refused as a parse failure: (command, document)
 MALFORMED = {
     "metric not a matrix": ("check", {"dim": 2, "metric": 5}),

@@ -23,7 +23,7 @@ from lieharm import (
 
 from lieharm import _linalg as la
 from lieharm._linalg import Tolerance
-from lieharm.core import _check_cross
+from lieharm.core import LeviCivitaProduct, _check_cross
 
 from conftest import rand_pd, with_metric
 
@@ -268,6 +268,21 @@ def test_exact_cross_checks_are_decided_exactly(exact, monkeypatch):
                 call()
         else:
             assert call() == value
+
+
+def test_unimodular_vector_is_cross_checked_at_each_tolerance(monkeypatch):
+    """A loose tolerance admits a frame sum 1e-6 off; the default one, asked
+    later of the same algebra, still compares the two routes and refuses it."""
+    frame_sum = LeviCivitaProduct.frame_sum
+    monkeypatch.setattr(LeviCivitaProduct, "frame_sum",
+                        lambda lc, weights: frame_sum(lc, weights) + 1e-6)
+    loose = Tolerance(1e-3, 1e-3)
+    for first in ((), (loose,)):
+        ela = get("e1").ela
+        for tol in first:
+            assert ela.unimodular_vector(tol) is ela.unimodular_vector(tol)
+        with pytest.raises(CrossCheckError, match="unimodular vector"):
+            ela.unimodular_vector(DEFAULT_TOL)
 
 
 def test_exact_jacobi_requires_every_cyclic_sum_to_vanish(rng):

@@ -507,8 +507,6 @@ def test_inner_product_norm_in_both_modes():
 MODE_BRANCHES = {
     "_check_cross": "decision helper: exact routes must be equal",
     "_negligible": "decision helper: an exact value is zero only when it is zero",
-    "jacobi_defect": "float sums arrive as squared norms, exact ones as whole rows",
-    "_jacobi_sums": "float blocks accumulate squared norms within BLOCK_ELEMENTS",
     "second_fundamental": "the float rule holds each pair to its own scale",
     "quotient_metric": "the metric-orthonormal complement is irrational",
     "_sym_coordinates": "the Frobenius unit 1/sqrt(2) is irrational",
