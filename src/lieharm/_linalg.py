@@ -53,9 +53,13 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def is_exact(a: np.ndarray) -> bool:
-    """True when the array carries exact (Fraction) scalars."""
-    return a.dtype == object
+def is_exact(a) -> bool:
+    """True when ``a`` is exact: an array of exact (Fraction) scalars, or a
+    Python int or Fraction (a float, NumPy scalar or float array is not)."""
+    try:
+        return a.dtype == object            # arrays first: isinstance(a, Fraction) is slow
+    except AttributeError:
+        return isinstance(a, (int, Fraction))
 
 
 def as_matrix(data, exact: bool = False) -> np.ndarray:

@@ -152,7 +152,7 @@ def _entry_so3(alphas=(1.0, 1.0, 1.0), exact: bool = False) -> CatalogEntry:
     """
     gram = _diagonal("so3", alphas)
     a1, a2, a3 = la.as_matrix(alphas, exact).tolist()   # the Gram diagonal the entry holds
-    n_eq = sum(_negligible(x - y, _PARAM_TOL, 0.0, norm=abs)
+    n_eq = sum(_negligible(x - y, _PARAM_TOL, norm=abs)
                for x, y in ((a1, a2), (a1, a3), (a2, a3)))
     if n_eq == 3:
         kill, ch = 3, 6
@@ -215,7 +215,7 @@ def _entry_aff2solv(beta=0.5, gram=None, exact: bool = False) -> CatalogEntry:
     """Non-unimodular solvable family [e3,e1] = e1, [e3,e2] = beta e2."""
     _finite("aff2solv", beta)
     u_covector = la.as_matrix([0, 0, 1 + beta], exact)
-    if _negligible(u_covector[2], _PARAM_TOL, 0.0, norm=abs):
+    if _negligible(u_covector[2], _PARAM_TOL, norm=abs):
         raise CatalogError("aff2solv: beta = -1 is the unimodular degeneration")
     return _entry("aff2solv", 3, {
         (0, 2): [-1, 0, 0],
@@ -553,8 +553,8 @@ def _check_heis_conjugation(rec, title, rng, tol, seed, exact):
                                            rng.integers(0, 2)])
         adj = exp_adjoint(heis, u, tol)
         form = automorphism_trace_form(adj, tol)
-        central = _negligible(heis.ad(u), tol, 1.0 + la.norm(u))
-        ok &= _negligible(form, tol, 0.0) == central
+        central = _negligible(heis.ad(u), tol, lambda: la.norm(u))
+        ok &= _negligible(form, tol) == central
     rec.equal(title, True, ok)
 
 

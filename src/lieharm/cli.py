@@ -41,9 +41,10 @@ from .maps import (
 from .semidirect import ConstructionError, build_semidirect, check_condition
 
 _PARSE_ERRORS = (lio.SpecError,)
+# OverflowError: an exact value beyond the float range cannot be reported as a float
 _DOMAIN_ERRORS = (StructureError, MetricError, MapError, ConeError,
                   ConstructionError, cat.CatalogError, CrossCheckError,
-                  la.LinAlgDomainError, la.ExactModeUnsupported)
+                  la.LinAlgDomainError, la.ExactModeUnsupported, OverflowError)
 
 
 def _jsonable(obj):

@@ -28,7 +28,7 @@ import numpy as np
 from . import _linalg as la
 from ._linalg import DEFAULT_TOL, Tolerance
 from .core import EuclideanLieAlgebra, _check_cross, _negligible
-from .maps import LieAlgebraMap, tension
+from .maps import LieAlgebraMap, tension, validate_hom
 
 
 class ConeError(ValueError):
@@ -61,9 +61,7 @@ class Automorphism:
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
         if la.rank(self.matrix, tol) != self.base.dim:
             raise ConeError("automorphism matrix is singular")
-        nphi = la.norm(self.matrix)
-        scale = 1.0 + la.norm(self.base.alg.c) * (nphi + nphi ** 2)
-        if not _negligible(self.as_map()._hom_residual(), tol, scale, 100.0, la.max_row_norm):
+        if not validate_hom(self.as_map(), tol.scaled(100.0)):
             raise ConeError(f"matrix does not preserve the bracket (defect {self.defect():.3e})")
 
     def as_map(self) -> LieAlgebraMap:
@@ -104,7 +102,7 @@ def inner_tension(adj: Automorphism, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     base = adj.base
     expected = la.matmul(base.gram_inv, alpha) - la.matmul(adj.matrix, base.unimodular_vector(tol))
     _check_cross("inner tension vs trace-form dual", tau, expected, tol,
-                 1.0 + la.norm(tau) + la.norm(alpha))
+                 lambda: la.norm(tau) + la.norm(alpha))
     return tau
 
 
@@ -141,7 +139,7 @@ def sl2_residuals(entries: Sequence[float], alphas: Sequence[float],
     if not (a1 > 0 and a2 > 0 and a3 > 0):
         raise ConeError("metric parameters must be positive")
     det = a * d - b * c
-    if not _negligible(det - 1, tol, 1.0 + abs(float(a * d)) + abs(float(b * c)), norm=abs):
+    if not _negligible(det - 1, tol, lambda: abs(float(a * d)) + abs(float(b * c)), norm=abs):
         raise ConeError(f"matrix determinant must be 1, got {float(det)!r}")
     a21, a31 = a2 / a1, a3 / a1
     a23, a32 = a2 / a3, a3 / a2
@@ -228,7 +226,7 @@ def harmonic_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> Con
     scaled = u != 1                             # in exact mode no unit rescales
     x_gram = np.divide(ela.gram[a, b], u, out=ela.gram[a, b], where=scaled)
     _check_cross("identity operator in the harmonic-cone span",
-                 la.kernel_residual(basis, x_gram), 0, tol, 1.0 + la.norm(ela.gram))
+                 la.kernel_residual(basis, x_gram), 0, tol, lambda: la.norm(ela.gram))
     np.multiply(basis, u[:, None], out=basis, where=scaled[:, None])   # in place
     sym = basis.T[:, pos].reshape(basis.shape[1], n, n)
     del basis                                   # freed before the operators are formed
@@ -272,12 +270,12 @@ def cone_membership(ela: EuclideanLieAlgebra, j, tol: Tolerance = DEFAULT_TOL) -
     g = ela.gram
     gj = g @ jm
     skew = gj - gj.T
-    if not _negligible(skew, tol, 1.0 + la.norm(g) * la.norm(jm)):
+    if not _negligible(skew, tol, lambda: la.norm(g) * la.norm(jm)):
         raise ConeError(
             f"operator is not symmetric w.r.t. the metric (defect {la.norm(skew):.3e})"
         )
     # tr(J ad_k) against tr(ad_{J b_k}) for every k
     residual = ela.alg.trace_pairing(jm) - ela.alg.ad_traces() @ jm
-    scale = 1.0 + la.norm(jm) * la.norm(ela.alg.c)
-    return (_negligible(residual, tol, scale, norm=lambda r: np.abs(r).max(initial=0.0))
+    return (_negligible(residual, tol, lambda: la.norm(jm) * la.norm(ela.alg.c),
+                        norm=lambda r: np.abs(r).max(initial=0.0))
             and la.is_positive_definite((gj + gj.T) / 2, tol))

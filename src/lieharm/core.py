@@ -53,30 +53,24 @@ class CrossCheckError(RuntimeError):
     """
 
 
-def _is_exact_route(x) -> bool:
-    dtype = getattr(x, "dtype", None)      # arrays first: isinstance(x, Fraction) is slow
-    return dtype == object if dtype is not None else isinstance(x, (int, Fraction))
-
-
-def _check_cross(name: str, first, second, tol: Tolerance, scale: float | None = None,
-                 norm=la.norm) -> float:
+def _check_cross(name: str, first, second, tol: Tolerance, scale=None, norm=la.norm) -> float:
     """Compare two independent routes to one quantity and return their defect
     ``norm(first - second)``.
 
     Exact routes (Fraction arrays or Python ints; an exact scalar stands for
     an array of that value) must be equal; float routes may differ by at most
-    ten thresholds at ``scale``, by default ``1 + |first| + |second|``.
+    ten thresholds at ``1 + scale()``, by default ``1 + |first| + |second|``
+    (``scale``, the data-dependent part, is called on the float route only).
     Otherwise :class:`CrossCheckError` is raised.
     """
-    exact = _is_exact_route(first) and _is_exact_route(second)
+    exact = la.is_exact(first) and la.is_exact(second)
     if exact and not _nonzero(first - second):
         return 0.0
     defect = _float_gap(first, second, norm)
-    if scale is None:
-        scale = 1.0 + la.norm(first) + la.norm(second)
-    if exact or defect > 10.0 * tol.threshold(scale):
+    bound = 1.0 + (la.norm(first) + la.norm(second) if scale is None else scale())
+    if exact or defect > 10.0 * tol.threshold(bound):
         raise CrossCheckError(
-            f"{name}: cross-check defect {defect:.3e} (scale {scale:.3e})"
+            f"{name}: cross-check defect {defect:.3e} (scale {bound:.3e})"
         )
     return defect
 
@@ -86,13 +80,20 @@ def _float_gap(first, second, norm=la.norm) -> float:
     return norm(la.to_float(first) - la.to_float(second))
 
 
-def _negligible(value, tol: Tolerance, scale: float, factor: float = 1.0, norm=la.norm) -> bool:
+def _negligible(value, tol: Tolerance, scale=None, norm=la.norm) -> bool:
     """Whether ``value`` counts as zero (the sibling of :func:`_check_cross`):
     an exact value (a Fraction or int, or an object array) only when it is
-    zero, a float value when ``norm(value) <= factor * tol.threshold(scale)``."""
-    if _is_exact_route(value):
+    zero, a float value when ``norm(value) <= tol.threshold(1 + scale())``
+    (``scale``, the data-dependent part, is called on the float route only)."""
+    if la.is_exact(value):
         return not _nonzero(value)
-    return bool(norm(value) <= factor * tol.threshold(scale))
+    return bool(norm(value) <= tol.threshold(1.0 + (0.0 if scale is None else scale())))
+
+
+def _once(f, *args):
+    """``f(*args)`` as a callable, computed on its first call only (cheaper than functools.cache)."""
+    memo = {}
+    return lambda: memo[0] if memo else memo.setdefault(0, f(*args))
 
 
 def _nonzero(x) -> bool:
@@ -146,7 +147,7 @@ class LieAlgebra:
             raise StructureError("structure tensor must be n x n x n")
         num, d = la.numerators(arr)          # exact input is tested on integers
         skew = num + num.transpose(1, 0, 2)
-        if not _negligible(skew, tol, 1.0 + la.norm(arr)):
+        if not _negligible(skew, tol, lambda: la.norm(arr)):
             raise StructureError(f"structure tensor not antisymmetric (defect {la.norm(skew) / d:.3e})")
         dim = arr.shape[0]
         fixed = la.zeros((dim, dim, dim), exact)
@@ -258,7 +259,7 @@ def check_jacobi(alg: LieAlgebra, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ``alg`` satisfies the Jacobi identity: within tolerance for a
     float algebra, exactly (every cyclic sum zero) for an exact one."""
     # the sums arrive as squared norms (exact ones as integer numerators)
-    return alg.dim < 3 or _negligible(_jacobi_sums(alg)[0], tol, 1.0 + la.norm(alg.c) ** 2,
+    return alg.dim < 3 or _negligible(_jacobi_sums(alg)[0], tol, lambda: la.norm(alg.c) ** 2,
                                       norm=lambda squares: math.sqrt(squares.max()))
 
 
@@ -396,7 +397,7 @@ class EuclideanLieAlgebra:
         return self._unimodular[tol]
 
     def is_unimodular(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return _negligible(self.unimodular_vector(tol), tol, 1.0 + la.norm(self.alg.c))
+        return _negligible(self.unimodular_vector(tol), tol, lambda: la.norm(self.alg.c))
 
     def levi_civita(self) -> "LeviCivitaProduct":
         # Only the table is memoized: a memoized product would refer back to
@@ -469,7 +470,7 @@ class EuclideanLieAlgebra:
         basis = la.nullspace(stacked, tol)
         rows = _closure_residual(c, basis, la.kernel_residual)
         _check_cross("Killing directions are not bracket-closed", rows, 0, tol,
-                     1.0 + la.norm(c), la.max_row_norm)
+                     lambda: la.norm(c), la.max_row_norm)
         self._killing[tol], = la._frozen(basis)
         return basis
 
@@ -546,9 +547,9 @@ class Subalgebra:
             raise StructureError("subalgebra basis must be parent-dim x k columns")
         if la.rank(b, self.tol) != b.shape[1]:
             raise StructureError("subalgebra basis columns are dependent")
-        scale = 1.0 + la.norm(self.parent.alg.c) * la.norm(b) ** 2
         closure = _closure_residual(self.parent.alg.c, b, la.span_residual)
-        if not _negligible(closure, self.tol, scale, 10.0, la.max_row_norm):
+        if not _negligible(closure, self.tol.scaled(10.0),
+                           lambda: la.norm(self.parent.alg.c) * la.norm(b) ** 2, la.max_row_norm):
             raise StructureError("subspace is not closed under the bracket")
 
     @property
@@ -590,10 +591,9 @@ def second_fundamental(sub: Subalgebra, tol: Tolerance = DEFAULT_TOL):
     elif k:
         tangential, induced = (x.reshape(k * k, n) for x in (products - h, induced))
         defect = np.linalg.norm(tangential - induced, axis=1)
-        scale = 1.0 + np.linalg.norm(tangential, axis=1) + np.linalg.norm(induced, axis=1)
-        worst = np.argmax(defect - 10.0 * tol.rel * scale)
-        _check_cross("tangential Levi-Civita part", tangential[worst], induced[worst], tol,
-                     scale[worst])
+        scale = np.linalg.norm(tangential, axis=1) + np.linalg.norm(induced, axis=1)
+        worst = np.argmax(defect - 10.0 * tol.rel * scale)    # scale: the default one, per pair
+        _check_cross("tangential Levi-Civita part", tangential[worst], induced[worst], tol)
 
     # summed pair by pair in basis order, the rounding of the old frame loop
     ginv_sub = la.inv(b.T @ parent.gram @ b)
@@ -614,9 +614,9 @@ def quotient_metric(ela: EuclideanLieAlgebra, ideal: Subalgebra,
     Raises StructureError if the subalgebra is not an ideal.
     """
     b, n = ideal.basis, ela.dim
-    scale = 1.0 + la.norm(ela.alg.c) * (1.0 + la.norm(b)) ** 2
     moved = la.pair_table(ela.alg.c, la.eye(n, ela.exact), b).reshape(n * b.shape[1], n).T
-    if not _negligible(la.span_residual(b, moved).T, tol, scale, 10.0, la.max_row_norm):
+    if not _negligible(la.span_residual(b, moved).T, tol.scaled(10.0),
+                       lambda: la.norm(ela.alg.c) * (1.0 + la.norm(b)) ** 2, la.max_row_norm):
         raise StructureError("subalgebra is not an ideal")
 
     comp = la.nullspace(b.T @ ela.gram, tol)  # complement: <b_i, .>_G = 0

@@ -33,6 +33,7 @@ The base algebra document's own ``metric`` is the domain-side metric;
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -53,13 +54,15 @@ class SpecError(ValueError):
 
 def parse_scalar(value, exact: bool):
     """A JSON number or ``"p/q"`` string to a float (or Fraction in exact
-    mode).  Exact mode rejects non-integral floats."""
+    mode).  Exact mode rejects non-integral floats; float mode rejects values
+    that are not finite floats (NaN, infinities, numbers beyond the float
+    range)."""
     if isinstance(value, str):
         try:
             frac = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"bad rational string {value!r}") from exc
-        return frac if exact else float(frac)
+        return frac if exact else _finite_float(frac, value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"scalar expected, got {value!r}")
     if exact:
@@ -68,7 +71,19 @@ def parse_scalar(value, exact: bool):
         raise SpecError(
             f"exact mode needs integers or rational strings, got {value!r}"
         )
-    return float(value)
+    return _finite_float(value, value)
+
+
+def _finite_float(number, value) -> float:
+    """``number`` as a finite float; a SpecError naming the document's ``value``
+    when it is NaN, infinite or beyond the float range."""
+    try:
+        out = float(number)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise SpecError(f"float mode needs finite numbers, got {value!r}")
+    return out
 
 
 def format_scalar(value) -> Union[int, float, str]:
@@ -189,7 +204,7 @@ def algebra_from_doc(doc: dict, exact: bool = False,
     else:
         gram = _parse_matrix(metric, (dim, dim), exact)
         skew = gram - gram.T
-        if not _negligible(skew, tol, 1.0 + la.norm(gram)):
+        if not _negligible(skew, tol, lambda: la.norm(gram)):
             raise MetricError(f"metric is not symmetric (defect {la.norm(skew):.3e})")
         inner = InnerProduct(gram)
     return EuclideanLieAlgebra(alg, inner, name=name)

@@ -43,6 +43,7 @@ from .core import (
     _check_cross,
     _float_gap,
     _negligible,
+    _once,
     quotient_metric,
     second_fundamental,
 )
@@ -120,12 +121,12 @@ class LieAlgebraMap:
 def validate_hom(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the matrix respects the brackets: within tolerance for a
     float map, exactly for an exact one (the tolerance is not read)."""
-    return _negligible(m._hom_residual(), tol, _hom_scale(m), norm=la.max_row_norm)
+    return _negligible(m._hom_residual(), tol, lambda: _hom_scale(m), norm=la.max_row_norm)
 
 
 def _hom_scale(m: LieAlgebraMap) -> float:
     nxi = la.norm(m.matrix)
-    return 1.0 + la.norm(m.source.alg.c) * nxi + la.norm(m.target.alg.c) * nxi ** 2
+    return la.norm(m.source.alg.c) * nxi + la.norm(m.target.alg.c) * nxi ** 2
 
 
 def require_hom(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -142,8 +143,8 @@ def compose(outer: LieAlgebraMap, inner: LieAlgebraMap,
     mid_a, mid_b = inner.target, outer.source
     if mid_a.dim != mid_b.dim:
         raise MapError("composition: middle dimensions differ")
-    if not (_negligible(mid_a.alg.c - mid_b.alg.c, tol, 1.0 + la.norm(mid_a.alg.c))
-            and _negligible(mid_a.gram - mid_b.gram, tol, 1.0 + la.norm(mid_a.gram))):
+    if not (_negligible(mid_a.alg.c - mid_b.alg.c, tol, lambda: la.norm(mid_a.alg.c))
+            and _negligible(mid_a.gram - mid_b.gram, tol, lambda: la.norm(mid_a.gram))):
         raise MapError("composition: middle Euclidean algebras differ")
     return LieAlgebraMap(
         inner.source,
@@ -201,8 +202,8 @@ def bitension(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
-    """tau2 and its scale, one plus the norms of its three terms, given
-    ``_tension_terms(m)``."""
+    """tau2 and its scale, a callable summing the norms of its three terms
+    (computed on the first call only), given ``_tension_terms(m)``."""
     tgt = m.target
     lc = tgt.levi_civita()
     w = _frame_weights(m)
@@ -222,7 +223,7 @@ def _bitension_terms(m: LieAlgebraMap, tol: Tolerance, u_src, u_xi, tau):
                 - la.matmul(tgt.bracket(tau, u_xi), g))
     dual = la.matmul(tgt.gram_inv, pairings)
 
-    scale = 1.0 + la.norm(t_second) + la.norm(t_curv) + la.norm(t_drift)
+    scale = _once(lambda: la.norm(t_second) + la.norm(t_curv) + la.norm(t_drift))
     _check_cross("bitension (curvature formula vs trace identity)", tau2, dual, tol, scale)
     return tau2, scale
 
@@ -242,8 +243,8 @@ def riemannian_immersion_defect(m: LieAlgebraMap) -> float:
 
 
 def is_riemannian_immersion(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    scale = 1.0 + la.norm(m.source.gram) + la.norm(m.matrix) ** 2 * la.norm(m.target.gram)
-    return _negligible(np.subtract(*_immersion_sides(m)), tol, scale)
+    return _negligible(np.subtract(*_immersion_sides(m)), tol, lambda: la.norm(
+        m.source.gram) + la.norm(m.matrix) ** 2 * la.norm(m.target.gram))
 
 
 def _submersion_sides(m: LieAlgebraMap):
@@ -257,10 +258,8 @@ def riemannian_submersion_defect(m: LieAlgebraMap) -> float:
 
 
 def is_riemannian_submersion(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    scale = 1.0 + la.norm(m.target.gram_inv) + la.norm(m.matrix) ** 2 * la.norm(
-        m.source.gram_inv
-    )
-    return _negligible(np.subtract(*_submersion_sides(m)), tol, scale)
+    return _negligible(np.subtract(*_submersion_sides(m)), tol, lambda: la.norm(
+        m.target.gram_inv) + la.norm(m.matrix) ** 2 * la.norm(m.source.gram_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +289,7 @@ def classify(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> MapClassificatio
     u_src, u_xi, tau = _tension_terms(m, tol)
     tau2, b_scale = _bitension_terms(m, tol, u_src, u_xi, tau)
 
-    h_scale = 1.0 + la.norm(m.matrix) * la.norm(u_src) + la.norm(u_xi)
-    harmonic = _negligible(tau, tol, h_scale)
+    harmonic = _negligible(tau, tol, lambda: la.norm(m.matrix) * la.norm(u_src) + la.norm(u_xi))
     flags = {
         "harmonic": harmonic,
         "biharmonic": harmonic or _negligible(tau2, tol, b_scale),
@@ -344,8 +342,8 @@ def submersion_split(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> Submersi
     tau_full = tension(m, tol)
     tau_bar = tension(qmap, tol)
     corr = m.apply(mean)
-    scale = 1.0 + la.norm(tau_full) + la.norm(tau_bar) + la.norm(corr)
-    defect = _check_cross("submersion split tension", tau_full, tau_bar - corr, tol, scale)
+    defect = _check_cross("submersion split tension", tau_full, tau_bar - corr, tol,
+                          lambda: la.norm(tau_full) + la.norm(tau_bar) + la.norm(corr))
     return SubmersionSplit(
         kernel=sub,
         mean_curvature=mean,
@@ -409,13 +407,12 @@ def kahler_defects(ks: KahlerStructure) -> Dict[str, float]:
 
 def check_kahler(ks: KahlerStructure, tol: Tolerance = DEFAULT_TOL) -> bool:
     complex_, metric, parallel = (np.subtract(*sides) for sides in _kahler_sides(ks))
-    nj = la.norm(ks.operator)
-    ng = la.norm(ks.base.gram)
-    na = la.norm(ks.base.levi_civita().table)
+    nj = _once(la.norm, ks.operator)
     return (
-        _negligible(complex_, tol, 1.0 + nj ** 2)
-        and _negligible(metric, tol, 1.0 + nj ** 2 * ng)
-        and _negligible(parallel, tol, 1.0 + na * nj, norm=la.max_row_norm)
+        _negligible(complex_, tol, lambda: nj() ** 2)
+        and _negligible(metric, tol, lambda: nj() ** 2 * la.norm(ks.base.gram))
+        and _negligible(parallel, tol, lambda: la.norm(ks.base.levi_civita().table) * nj(),
+                        norm=la.max_row_norm)
     )
 
 
@@ -427,8 +424,8 @@ def holomorphic_defect(m: LieAlgebraMap, j_source: np.ndarray,
 
 def is_holomorphic(m: LieAlgebraMap, j_source: np.ndarray, j_target: np.ndarray,
                    tol: Tolerance = DEFAULT_TOL) -> bool:
-    scale = 1.0 + la.norm(m.matrix) * (la.norm(j_source) + la.norm(j_target))
-    return _negligible(m.matrix @ j_source - j_target @ m.matrix, tol, scale)
+    return _negligible(m.matrix @ j_source - j_target @ m.matrix, tol,
+                       lambda: la.norm(m.matrix) * (la.norm(j_source) + la.norm(j_target)))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .core import (
     _check_cross,
     _float_gap,
     _negligible,
+    _once,
 )
 from .maps import LieAlgebraMap, MapClassification, _hom_scale, classify, tension
 
@@ -95,12 +96,12 @@ class SemidirectData:
         if self.omega.shape != (dh, dh, dn):
             raise ConstructionError(f"twist tensor must be {dh} x {dh} x {dn}")
         skew = self.omega + self.omega.transpose(1, 0, 2)
-        if not _negligible(skew, self.tol, 1.0 + la.norm(self.omega)):
+        if not _negligible(skew, self.tol, lambda: la.norm(self.omega)):
             raise ConstructionError(f"twist is not antisymmetric (defect {la.norm(skew):.3e})")
         for k in range(dh):
             rows = _derivation_residual(self.kernel, self.rho[k])
-            scale = 1.0 + la.norm(self.rho[k]) * la.norm(self.kernel.alg.c)
-            if not _negligible(rows, self.tol, scale, 10.0, la.max_row_norm):
+            if not _negligible(rows, self.tol.scaled(10.0), lambda: la.norm(
+                    self.rho[k]) * la.norm(self.kernel.alg.c), la.max_row_norm):
                 raise ConstructionError(f"action of base vector {k} is not a derivation "
                                         f"(defect {la.max_row_norm(rows):.3e})")
 
@@ -155,7 +156,7 @@ class ConditionReport:
 
 
 def _compatibility_terms(sd: SemidirectData):
-    """Both compatibility equations on all basis tuples, each with its scale:
+    """Both compatibility equations on all basis tuples, each with its scale (a callable):
     ``((lhs, rhs, scale), (cyclic, scale))`` with the action equation's two
     sides ``rho([h_i, h_j])`` and ``[rho_i, rho_j] - ad_{omega(h_i, h_j)}`` as
     rows over the pairs i < j, and the cocycle equation's cyclic sums, which
@@ -181,10 +182,10 @@ def _compatibility_terms(sd: SemidirectData):
         ii, jj, kk = la.strict_triples(dh)
         cyclic = s[ii, jj, kk] + s[jj, kk, ii] + s[kk, ii, jj]
 
-    nrho, nom = la.norm(rho), la.norm(omega)
-    scale1 = 1.0 + la.norm(ch) * nrho + nrho ** 2 + la.norm(ker.alg.c) * nom
-    scale2 = 1.0 + nrho * nom + la.norm(ch) * nom
-    return (lhs, rhs.reshape(-1, dn * dn), scale1), (cyclic, scale2)
+    nrho, nom, nch = _once(la.norm, rho), _once(la.norm, omega), _once(la.norm, ch)
+    return ((lhs, rhs.reshape(-1, dn * dn),
+             lambda: nch() * nrho() + nrho() ** 2 + la.norm(ker.alg.c) * nom()),
+            (cyclic, lambda: nrho() * nom() + nch() * nom()))
 
 
 def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> ConditionReport:
@@ -196,8 +197,8 @@ def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> Conditi
     """
     (lhs, rhs, scale1), (cyclic, scale2) = _compatibility_terms(sd)
     action = lhs - rhs
-    ok = (_negligible(action, tol, scale1, 10.0, la.max_row_norm)
-          and _negligible(cyclic, tol, scale2, 10.0, la.max_row_norm))
+    ok = (_negligible(action, tol.scaled(10.0), scale1, la.max_row_norm)
+          and _negligible(cyclic, tol.scaled(10.0), scale2, la.max_row_norm))
     return ConditionReport(ok=ok, action_defect=_float_gap(lhs, rhs, la.max_row_norm),
                            cocycle_defect=la.max_row_norm(cyclic))
 
@@ -240,8 +241,8 @@ def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
     proj_matrix[:, dn:] = la.eye(dh, exact)
     base_target = sd.base_target()
     proj = LieAlgebraMap(total, base_target, proj_matrix, name="projection")
-    _check_cross("projection homomorphism", proj._hom_residual(), 0, tol, _hom_scale(proj),
-                 norm=la.max_row_norm)
+    _check_cross("projection homomorphism", proj._hom_residual(), 0, tol,
+                 lambda: _hom_scale(proj), norm=la.max_row_norm)
 
     tau_proj = tension(proj, tol)
     idm = LieAlgebraMap.identity(sd.base_domain(), base_target)
@@ -279,9 +280,10 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
         om0 = omega0
         if om0.shape != (dh, dh, dn):
             raise ConstructionError(f"central twist must be {dh} x {dh} x {dn}")
-        if not _negligible(om0 + om0.transpose(1, 0, 2), tol, 1.0 + la.norm(om0)):
+        nom0 = _once(la.norm, om0)
+        if not _negligible(om0 + om0.transpose(1, 0, 2), tol, nom0):
             raise ConstructionError("central twist is not antisymmetric")
-        scale_c = 1.0 + la.norm(kernel.alg.c) * la.norm(om0)
+        scale_c = _once(lambda: la.norm(kernel.alg.c) * nom0())
         ad_om0 = om0[ii, jj] @ kernel.alg.c.reshape(dn, dn * dn)   # ad_{omega0_ij}
         off = [p for p, row in enumerate(ad_om0) if not _negligible(row, tol, scale_c)]
         if off:
@@ -289,12 +291,11 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
                 f"central twist value at base pair ({ii[off[0]]},{jj[off[0]]}) is not "
                 f"in the kernel's center"
             )
-        scale_d = 1.0 + la.norm(base.c) * la.norm(om0)
         # T[a,b,c] = omega0([h_a, h_b], h_c); cyclic sums over a < b < c
         t = (base.c.reshape(dh * dh, dh) @ om0.reshape(dh, dh * dn)).reshape(dh, dh, dh, dn)
         a, b, c = la.strict_triples(dh)
-        if not _negligible(t[a, b, c] + t[b, c, a] + t[c, a, b], tol, scale_d,
-                           norm=la.max_row_norm):
+        if not _negligible(t[a, b, c] + t[b, c, a] + t[c, a, b], tol,
+                           lambda: la.norm(base.c) * nom0(), norm=la.max_row_norm):
             raise ConstructionError(
                 "central twist is not closed under the cyclic sum"
             )
@@ -372,7 +373,7 @@ def tension_coordinate_system(base_domain: EuclideanLieAlgebra,
     computation.
     """
     if base_domain.alg is not base_target.alg and not _negligible(
-            base_domain.alg.c - base_target.alg.c, tol, 1.0 + la.norm(base_domain.alg.c)):
+            base_domain.alg.c - base_target.alg.c, tol, lambda: la.norm(base_domain.alg.c)):
         raise ConstructionError("both sides must share the structure constants")
     g2 = base_target.gram
     # <B_u v, w>_2 via the Koszul polarization of the target metric
@@ -382,7 +383,7 @@ def tension_coordinate_system(base_domain: EuclideanLieAlgebra,
     x = la.solve_linear(g2, b, tol)
     direct = tension(LieAlgebraMap.identity(base_domain, base_target), tol)
     _check_cross("tension coordinate system vs direct tension", x, direct, tol,
-                 1.0 + la.norm(direct))
+                 lambda: la.norm(direct))
     return g2, b, x
 
 
@@ -408,7 +409,7 @@ def _derived_rows(base: LieAlgebra, dn: int) -> np.ndarray:
 
 def _traceless_space(tvec: np.ndarray, dh: int, tol: Tolerance) -> np.ndarray:
     """Flattened embeddings F with ``t . F = 0`` (all of them when t vanishes)."""
-    hom_basis = np.eye(len(tvec)) if _negligible(tvec, tol, 1.0) else la.nullspace(
+    hom_basis = np.eye(len(tvec)) if _negligible(tvec, tol) else la.nullspace(
         tvec.reshape(1, -1), tol)
     return np.kron(hom_basis, np.eye(dh))
 
@@ -432,7 +433,7 @@ def _search(kernel: EuclideanLieAlgebra, base: LieAlgebra, inner_domain: InnerPr
         f = f.reshape(kernel.dim, base.dim)
         try:
             sd = inner_action_data(kernel, base, inner_domain, inner_target, f, tol=tol)
-            if twist_free and not _negligible(sd.omega, tol, 1.0 + la.norm(f) ** 2):
+            if twist_free and not _negligible(sd.omega, tol, lambda: la.norm(f) ** 2):
                 raise ConstructionError("sampled embedding produced a twist")
             result = _certify(sd, tol)
         except (ConstructionError, CrossCheckError) as exc:
@@ -467,8 +468,8 @@ def build_harmonic_submersion(base: LieAlgebra, inner_domain: InnerProduct,
     _, _, tau_id = tension_coordinate_system(dom, tgt, tol)
     rhs = inner_domain.gram @ tau_id    # <h_k, tau(Id)>_1
     tvec = kernel.alg.ad_traces()       # t_i = tr(ad_{b_i}), the trace of inner actions
-    traced = not _negligible(tvec, tol, 1.0)
-    if not traced and not _negligible(rhs, tol, 1.0 + la.norm(tau_id)):
+    traced = not _negligible(tvec, tol)
+    if not traced and not _negligible(rhs, tol, lambda: la.norm(tau_id)):
         raise InfeasibleSearch(
             "every inner derivation of the kernel is traceless but the "
             "identity tension is nonzero; no inner action can match it"
@@ -569,8 +570,8 @@ def build_flat_target_submersion(base_flat: EuclideanLieAlgebra,
     """
     _require_float(base_flat, kernel)
     worst = base_flat.max_curvature_norm()
-    scale = 1.0 + la.norm(base_flat.alg.c) ** 2 * la.norm(base_flat.gram)
-    if not _negligible(worst, tol, scale, norm=abs):
+    if not _negligible(worst, tol, lambda: la.norm(base_flat.alg.c) ** 2 * la.norm(
+            base_flat.gram), norm=abs):
         raise ConstructionError(f"base metric is not flat (max curvature norm {worst:.3e})")
     dh, dn = base_flat.dim, kernel.dim
     unimodular = kernel.is_unimodular(tol)

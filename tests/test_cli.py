@@ -283,3 +283,58 @@ def test_library_refusal_exits_one(tmp_path, capsys, case):
     command, doc, text = REFUSED[case]
     rc, out, err = run(capsys, [command, write(tmp_path, "doc.json", doc)])
     assert (rc, out) == (1, "") and err.startswith("error: ") and text in err
+
+
+_BIG = 10 ** 400
+
+#: documents whose numbers are no finite floats, each refused in float mode
+#: as a parse failure: (document, the text of the offending number)
+NON_FINITE = {
+    "coefficient 1e400": (HEIS_DOC, "1e400"),
+    "coefficient NaN": (HEIS_DOC, "NaN"),
+    "Gram entry Infinity": ({**HEIS_DOC, "brackets": [{"i": 1, "j": 2, "coeffs": [[0, 1]]}],
+                             "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1.0]]}, "Infinity"),
+    "401-digit rational string": (HEIS_DOC, f'"{_BIG}/1"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_a_non_finite_number_exits_two(tmp_path, capsys, case):
+    doc, number = NON_FINITE[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace("1.0]]", f"{number}]]"))
+    rc, out, err = run(capsys, ["check", str(path)])
+    assert (rc, out) == (2, "") and err.startswith("error: float mode needs finite numbers")
+
+
+def _heis_big():
+    return {**HEIS_DOC, "brackets": [{"i": 1, "j": 2, "coeffs": [[0, _BIG]]}]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("check", _heis_big()),
+    ("cone", _heis_big()),
+    ("analyze", {"source": _heis_big(), "target": _heis_big(),
+                 "xi": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+    ("semidirect", {"tangent": _heis_big()}),
+], ids=["check", "cone", "analyze", "semidirect"])
+def test_exact_commands_decide_a_coefficient_beyond_the_float_range(tmp_path, capsys, command,
+                                                                     doc):
+    rc, out, err = run(capsys, ["--exact", command, write(tmp_path, "doc.json", doc)])
+    assert (rc, err) == (0, "")
+    assert {"check": "unimodular: True", "cone": "dimension: 4",
+            "analyze": "harmonic=True", "semidirect": "harmonic=True"}[command] in out
+
+
+@pytest.mark.parametrize("command, doc", [
+    # the source Gram's 10**400 enters the float immersion defect
+    ("analyze", {"source": {**E1_DOC, "brackets": [{"i": 0, "j": 1, "coeffs": [[0, 1]]}],
+                            "metric": [[_BIG, 0], [0, 1]]},
+                 "target": {**E1_DOC, "brackets": [{"i": 0, "j": 1, "coeffs": [[0, 1]]}]},
+                 "xi": [[1, 0], [0, 1]]}),
+    # the coefficient enters the float action defect of the compatibility report
+    ("semidirect", {"tangent": {**E1_DOC, "brackets": [{"i": 0, "j": 1, "coeffs": [[0, _BIG]]}]}}),
+], ids=["analyze", "semidirect"])
+def test_an_exact_value_beyond_a_float_report_exits_one(tmp_path, capsys, command, doc):
+    rc, out, err = run(capsys, ["--exact", command, write(tmp_path, "doc.json", doc)])
+    assert (rc, out) == (1, "") and err.startswith("error: ") and "float" in err

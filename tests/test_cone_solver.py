@@ -61,7 +61,7 @@ def reference_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> np
     basis_vecs = la.nullspace(system, tol)
     eye_vec = la.eye(n, ela.exact).reshape(-1)
     _check_cross("identity operator in the harmonic-cone span",
-                 la.span_residual(basis_vecs, eye_vec), 0.0, tol, 1.0 + np.sqrt(n))
+                 la.span_residual(basis_vecs, eye_vec), 0.0, tol, lambda: np.sqrt(n))
     return basis_vecs
 
 

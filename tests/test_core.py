@@ -209,9 +209,10 @@ def test_exact_euclidean_algebra_round_trip():
 
 def test_cross_check_allows_ten_thresholds_and_names_the_failure():
     limit = 10.0 * DEFAULT_TOL.threshold(2.0)
-    assert _check_cross("route pair", np.array([limit]), np.zeros(1), DEFAULT_TOL, 2.0) == limit
+    assert _check_cross("route pair", np.array([limit]), np.zeros(1), DEFAULT_TOL,
+                        lambda: 1.0) == limit
     with pytest.raises(CrossCheckError) as info:
-        _check_cross("route pair", np.array([2.0 * limit]), np.zeros(1), DEFAULT_TOL, 2.0)
+        _check_cross("route pair", np.array([2.0 * limit]), np.zeros(1), DEFAULT_TOL, lambda: 1.0)
     assert str(info.value) == (f"route pair: cross-check defect {2.0 * limit:.3e} "
                                f"(scale {2.0:.3e})")
 

@@ -238,3 +238,31 @@ def test_numpy_integer_indices_are_accepted():
     doc = {"dim": np.int64(2), "brackets": [{"i": np.int32(0), "j": 1,
                                              "coeffs": [[np.int8(0), 1]]}]}
     assert np.array_equal(lio.algebra_from_doc(doc).alg.c, get("e1").ela.alg.c)
+
+
+_BIG = 10 ** 400
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), _BIG, -_BIG,
+                                   f"{_BIG}/3", f"-{_BIG}"],
+                         ids=["inf", "-inf", "nan", "big", "-big", "big/3 string", "-big string"])
+def test_float_mode_refuses_what_is_not_a_finite_float(value):
+    with pytest.raises(SpecError, match="float mode needs finite numbers"):
+        lio.parse_scalar(value, exact=False)
+
+
+def test_exact_mode_loads_rationals_beyond_the_float_range():
+    assert lio.parse_scalar(f"{_BIG}/3", exact=True) == Fraction(_BIG, 3)
+    assert lio.parse_scalar(f"1/{_BIG}", exact=True) == Fraction(1, _BIG)
+    assert lio.parse_scalar(_BIG, exact=True) == _BIG
+    # a rational this small rounds to 0.0 in float mode: it is finite
+    assert lio.parse_scalar(f"1/{_BIG}", exact=False) == 0.0
+
+
+@pytest.mark.parametrize("text", ["1e400", "NaN", "-Infinity"])
+def test_a_document_with_a_non_finite_number_is_a_spec_error(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**HEIS_DOC, "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 2]]})
+                    .replace("2]]", f"{text}]]"))
+    with pytest.raises(SpecError, match="float mode needs finite numbers"):
+        lio.load_algebra(str(path))

@@ -80,7 +80,7 @@ def test_projection_homomorphism_check_allows_ten_thresholds(factor, raises, mon
     """The assembled projection's bracket defect may reach ten thresholds at
     the homomorphism scale of the projection, and no more."""
     monkeypatch.setattr(LieAlgebraMap, "_hom_residual", lambda m: np.array(
-        [[factor * 10.0 * DEFAULT_TOL.threshold(maps._hom_scale(m))]]))
+        [[factor * 10.0 * DEFAULT_TOL.threshold(1.0 + maps._hom_scale(m))]]))
     data = tangent_semidirect(get("e1").ela)
     if raises:
         with pytest.raises(CrossCheckError, match="projection homomorphism"):

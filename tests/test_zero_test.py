@@ -43,6 +43,7 @@ from lieharm import (
     cone_membership,
     get,
     harmonic_cone,
+    harmonic_dimension_check,
     inner_action_data,
     is_holomorphic,
     is_riemannian_immersion,
@@ -372,6 +373,26 @@ def test_exact_catalog_parameters_are_compared_exactly():
     assert get("heis3", alpha=tiny, exact=True).ela.alg.c[1, 2, 0] == tiny
 
 
+def test_exact_heis3_beyond_the_float_range_is_decided_exactly():
+    """An exact verdict forms no float, so a coefficient of 10**400, which
+    no float holds, is decided like any other."""
+    ela = get("heis3", alpha=Fraction(10 ** 400), exact=True).ela
+    assert check_jacobi(ela.alg) and ela.is_unimodular()
+    assert ela.killing_subalgebra().shape[1] == 1
+    assert harmonic_cone(ela).dimension == 4
+    assert harmonic_dimension_check(ela) == (4, 4)
+    _, proj = build_semidirect(tangent_semidirect(ela))
+    flags = classify(proj).flags
+    assert flags["harmonic"] and flags["biharmonic"]
+
+
+def test_exact_e1_beyond_the_float_range_is_decided_exactly():
+    big = Fraction(10 ** 400)
+    ela = get("e1", a=big, exact=True).ela
+    assert not ela.is_unimodular()
+    assert list(ela.unimodular_vector()) == [0, -big]
+
+
 #: the functions that may read ``Tolerance.threshold``: the two decision
 #: helpers and the float rank, solve and definiteness rules of ``_linalg``
 THRESHOLD_READERS = {"_check_cross", "_negligible", "nullspace", "solve_linear",
@@ -411,6 +432,91 @@ def test_only_the_decision_helpers_read_a_threshold():
     assert stray == []
     assert _threshold_calls(ast.parse("def f(t):\n    return g(lambda: t.threshold(1))\n")) == [
         ("f", 2)]
+
+
+#: the position of ``scale`` among each decision helper's positional arguments
+SCALE_POSITION = {"_negligible": 2, "_check_cross": 4}
+
+
+def _writes_the_floor(node, assigned) -> bool:
+    """Whether a scale is a number or a sum with a number among its terms
+    (``1.0 + x``), itself, as a lambda's body (also one that ``_once``
+    memoizes) or through a name ``assigned`` from one in the same function."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_once" and node.args:
+        node = node.args[0]                 # the memoized scale's own expression
+    if isinstance(node, ast.Lambda):
+        node = node.body
+    if isinstance(node, ast.Name):
+        return any(_writes_the_floor(value, {}) for value in assigned.get(node.id, ()))
+    terms = [node]
+    while isinstance(terms[-1], ast.BinOp) and isinstance(terms[-1].op, ast.Add):
+        sum_ = terms.pop()
+        terms += [sum_.right, sum_.left]
+    return any(isinstance(t, ast.Constant) and isinstance(t.value, (int, float)) for t in terms)
+
+
+def _assigned(scope):
+    """The values assigned to each plain name anywhere in ``scope``."""
+    out = {}
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    out.setdefault(target.id, []).append(node.value)
+    return out
+
+
+def _hand_written_floors(tree):
+    """``(function, line)`` of every decision-helper call, outside the two
+    helpers, whose ``scale`` is a number or writes the ``1 +`` floor."""
+    found = []
+
+    def visit(node, func, assigned):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, _assigned(child))
+                continue
+            f = getattr(child, "func", None)
+            helper = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if isinstance(child, ast.Call) and helper in SCALE_POSITION and (
+                    func not in SCALE_POSITION):
+                pos = SCALE_POSITION[helper]
+                scales = child.args[pos:pos + 1] + [k.value for k in child.keywords
+                                                    if k.arg == "scale"]
+                if any(_writes_the_floor(scale, assigned) for scale in scales):
+                    found.append((func, child.lineno))
+            visit(child, func, assigned)
+
+    visit(tree, None, {})
+    return found
+
+
+def test_no_call_site_writes_the_scale_floor():
+    """The ``1 +`` floor of every float scale is added by the two decision
+    helpers only: a call site passes the data-dependent part as a callable,
+    never a number or a ``1.0 + ...`` sum."""
+    src = Path(lieharm.__file__).parent
+    stray = [f"{path.name}:{line} in {func}"
+             for path in sorted(src.glob("*.py"))
+             for func, line in _hand_written_floors(ast.parse(path.read_text()))]
+    assert stray == []
+    probe = ("def f(x, tol, a, b):\n"
+             "    s = 1 + a\n"
+             "    _negligible(x, tol, 1.0 + a + b)\n"
+             "    core._negligible(x, tol, 0.0, norm=abs)\n"
+             "    _check_cross('n', x, 0, tol, s)\n"
+             "    _negligible(x, tol, scale=lambda: a + 1.0)\n"
+             "    _negligible(x, tol, lambda: a * (1.0 + b) ** 2)\n"
+             "    _check_cross('n', x, 0, tol, lambda: a, norm=abs)\n"
+             "    _negligible(x, tol)\n"
+             "    _check_cross('n', x, 0, tol, _once(lambda: 1.0 + a))\n"
+             "    _negligible(x, tol, _once(la.norm, a))\n"
+             "def g(x, tol, s):\n"
+             "    return _negligible(x, tol, s)\n"
+             "def _negligible(value, tol, scale=1.0):\n"
+             "    return _negligible(value, tol, 1.0)\n")
+    assert _hand_written_floors(ast.parse(probe)) == [("f", 3), ("f", 4), ("f", 5), ("f", 6),
+                                                      ("f", 10)]
 
 
 #: the calls that decide a rank or an equality on the data they are given
@@ -516,7 +622,7 @@ MODE_BRANCHES = {
     "Automorphism.__post_init__": "mode-consistency check",
 }
 
-_MODE_NAMES = {"exact", "is_exact", "_is_exact_route"}
+_MODE_NAMES = {"exact", "is_exact"}
 
 
 def _reads_mode(test) -> bool:
