@@ -174,35 +174,19 @@ def over(ints, d: int):
     return out
 
 
-def exact_matmul(*arrays):
-    """``a @ b @ ...``, left to right, for Fraction arrays of any shapes ``@``
-    accepts: the operands' integer numerators over their common denominators
-    are multiplied, and every output entry becomes one Fraction."""
-    ints, d = numerators(arrays[0])
-    for a in arrays[1:]:
-        ia, da = numerators(a)
-        ints, d = np.matmul(ints, ia), d * da
-    return over(ints, d)
-
-
 def matmul(a: np.ndarray, b: np.ndarray, *more):
-    """``a @ b @ ...``, left to right, in either mode; exact operands go
-    through :func:`exact_matmul`."""
-    if is_exact(a) and is_exact(b) and all(map(is_exact, more)):
-        return exact_matmul(a, b, *more)
-    out = a @ b
-    for m in more:
-        out = out @ m
-    return out
-
-
-def contract_last(t: np.ndarray, m: np.ndarray):
-    """``sum_l t[..., l] m[l, k]``: ``np.einsum`` on floats, one object
-    ``matmul`` of the flattened leading axes on :func:`numerators`."""
-    if is_exact(t) and is_exact(m):
-        lead = t.shape[:-1]
-        return (t.reshape(math.prod(lead), t.shape[-1]) @ m).reshape(*lead, m.shape[-1])
-    return np.einsum("...l,lk->...k", t, m)
+    """``a @ b @ ...``, left to right, in either mode: the one product of
+    library tensors.  When every operand is exact, their integer numerators
+    over their common denominators are multiplied and every output entry
+    becomes one Fraction; otherwise the operands are multiplied with ``@``."""
+    arrays = (a, b, *more)
+    if not all(map(is_exact, arrays)):
+        return functools.reduce(np.matmul, arrays)
+    ints, d = numerators(a)
+    for m in arrays[1:]:
+        im, dm = numerators(m)
+        ints, d = np.matmul(ints, im), d * dm
+    return over(ints, d)
 
 
 def pair_table(t: np.ndarray, left: np.ndarray, right: np.ndarray):
@@ -331,8 +315,10 @@ def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Float mode: SVD; a singular value sigma_i counts as zero when
     ``sigma_i < tol.rel * sigma_max + tol.abs`` and the returned basis is
-    orthonormal.  A wide matrix with more than :data:`COMPLEMENT_MIN_COLS`
-    columns (the large harmonic-cone systems) takes one thin SVD and returns
+    orthonormal.  A tall or square matrix takes the thin SVD, whose right
+    factor is already all of V (no rows x rows left factor is formed).  A
+    wide matrix with more than :data:`COMPLEMENT_MIN_COLS` columns (the
+    large harmonic-cone systems) takes one thin SVD and returns
     the complement of its k kept right singular vectors from k Householder
     reflectors, instead of forming the full N x N right factor; below the
     cut that route's fixed costs exceed the full SVD's.  Both routes use the
@@ -348,7 +334,7 @@ def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return np.eye(m.shape[1])[:, : m.shape[1]]
     rows, cols = m.shape
     wide = cols > COMPLEMENT_MIN_COLS and rows < cols
-    _, s, vh = np.linalg.svd(m, full_matrices=not wide)
+    _, s, vh = np.linalg.svd(m, full_matrices=cols > rows and not wide)
     smax = s[0] if s.size else 0.0
     thr = tol.rel * smax + tol.abs
     rank = int(np.sum(s >= thr))
@@ -412,7 +398,7 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
         term = eye(n, exact=True)
         out = eye(n, exact=True)
         for k in range(1, n + 1):
-            term = exact_matmul(term, m) / Fraction(k)
+            term = matmul(term, m) / Fraction(k)
             if not term.any():
                 return out
             out = out + term
@@ -483,7 +469,7 @@ def span_residual(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
     if basis.shape[1] == 0:
         return vec
     if is_exact(basis):
-        coeff = exact_solve(exact_matmul(basis.T, basis), exact_matmul(basis.T, vec))
+        coeff = exact_solve(matmul(basis.T, basis), matmul(basis.T, vec))
     else:
         coeff, *_ = np.linalg.lstsq(
             np.asarray(basis, dtype=float), np.asarray(vec, dtype=float), rcond=None

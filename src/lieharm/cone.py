@@ -268,14 +268,14 @@ def cone_membership(ela: EuclideanLieAlgebra, j, tol: Tolerance = DEFAULT_TOL) -
     if jm.shape != (n, n):
         raise ConeError(f"operator must be {n} x {n}")
     g = ela.gram
-    gj = g @ jm
+    gj = la.matmul(g, jm)
     skew = gj - gj.T
     if not _negligible(skew, tol, lambda: la.norm(g) * la.norm(jm)):
         raise ConeError(
             f"operator is not symmetric w.r.t. the metric (defect {la.norm(skew):.3e})"
         )
     # tr(J ad_k) against tr(ad_{J b_k}) for every k
-    residual = ela.alg.trace_pairing(jm) - ela.alg.ad_traces() @ jm
+    residual = ela.alg.trace_pairing(jm) - la.matmul(ela.alg.ad_traces(), jm)
     return (_negligible(residual, tol, lambda: la.norm(jm) * la.norm(ela.alg.c),
                         norm=lambda r: np.abs(r).max(initial=0.0))
             and la.is_positive_definite((gj + gj.T) / 2, tol))

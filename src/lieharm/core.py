@@ -61,14 +61,18 @@ def _check_cross(name: str, first, second, tol: Tolerance, scale=None, norm=la.n
     an array of that value) must be equal; float routes may differ by at most
     ten thresholds at ``1 + scale()``, by default ``1 + |first| + |second|``
     (``scale``, the data-dependent part, is called on the float route only).
-    Otherwise :class:`CrossCheckError` is raised.
+    Otherwise :class:`CrossCheckError` is raised; an exact pair's message
+    gives the largest entry gap exactly, so no value is converted to float.
     """
-    exact = la.is_exact(first) and la.is_exact(second)
-    if exact and not _nonzero(first - second):
+    if la.is_exact(first) and la.is_exact(second):
+        gap = first - second
+        if _nonzero(gap):
+            raise CrossCheckError(
+                f"{name}: exact routes differ (largest entry gap {max(map(abs, np.ravel(gap)))})")
         return 0.0
     defect = _float_gap(first, second, norm)
     bound = 1.0 + (la.norm(first) + la.norm(second) if scale is None else scale())
-    if exact or defect > 10.0 * tol.threshold(bound):
+    if defect > 10.0 * tol.threshold(bound):
         raise CrossCheckError(
             f"{name}: cross-check defect {defect:.3e} (scale {bound:.3e})"
         )
@@ -161,13 +165,12 @@ class LieAlgebra:
 
     def bracket(self, u, v) -> np.ndarray:
         """[u, v] in basis coordinates."""
-        u = np.asarray(u)
-        v = np.asarray(v)
-        return np.einsum("i,j,ijk->k", u, v, self.c)
+        return la.matmul(self.ad(u), np.asarray(v))
 
     def ad(self, u) -> np.ndarray:
         """Matrix of ad_u = [u, .]."""
-        return np.einsum("i,ijk->kj", np.asarray(u), self.c)
+        n = self.dim
+        return la.matmul(np.asarray(u), self.c.reshape(n, n * n)).reshape(n, n).T
 
     def basis(self, i: int) -> np.ndarray:
         return la.as_matrix(np.eye(self.dim)[i], self.exact)
@@ -302,7 +305,7 @@ class InnerProduct:
         return self.gram.shape[0]
 
     def pair(self, u, v):
-        return (np.asarray(u) @ self.gram @ np.asarray(v))
+        return la.matmul(np.asarray(u), self.gram, np.asarray(v))
 
     def norm(self, u) -> float:
         return la.metric_norm(np.asarray(u), self.gram)
@@ -414,7 +417,7 @@ class EuclideanLieAlgebra:
         lc = self.levi_civita()
         au = lc.operator(u)
         av = lc.operator(v)
-        return au @ av - av @ au - lc.operator(self.bracket(u, v))
+        return la.matmul(au, av) - la.matmul(av, au) - lc.operator(self.bracket(u, v))
 
     def max_curvature_norm(self) -> float:
         """max ||K(e_i, e_j)|| over basis pairs i < j, with every K formed
@@ -424,8 +427,8 @@ class EuclideanLieAlgebra:
         ii, jj = la.strict_pairs(n)
         a_i, a_j = ops[ii], ops[jj]
         p = len(ii)
-        a_br = (self.alg.c[ii, jj] @ ops.reshape(n, n * n)).reshape(p, n, n)   # A_{[e_i, e_j]}
-        return la.max_row_norm((a_i @ a_j - a_j @ a_i - a_br).reshape(p, n * n))
+        a_br = la.matmul(self.alg.c[ii, jj], ops.reshape(n, n * n)).reshape(p, n, n)  # A_[e_i,e_j]
+        return la.max_row_norm((la.matmul(a_i, a_j) - la.matmul(a_j, a_i) - a_br).reshape(p, n * n))
 
     def curvature_trace(self, u, weights) -> np.ndarray:
         """sum_ab weights[a,b] K(u, e_a) e_b, for a vector u or for each row
@@ -495,12 +498,12 @@ class LeviCivitaProduct:
         # 2 <A_i j, k> = <[i,j],k> + <[k,i],j> + <[k,j],i>, summed on the
         # numerators of exact input, which share one denominator
         (c, dc), (g, dg), (h, dh) = map(la.numerators, (ela.alg.c, ela.gram, ela.gram_inv.T / 2))
-        cov = la.contract_last(c, g)
+        cov = c @ g                          # a 2-D right operand contracts the last axis
         rhs = cov + np.transpose(cov, (1, 2, 0)) + np.transpose(cov, (2, 1, 0))
-        return la.over(la.contract_last(rhs, h), dc * dg * dh)
+        return la.over(rhs @ h, dc * dg * dh)
 
     def product(self, u, v) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(u), np.asarray(v), self.table)
+        return la.matmul(self.operator(u), np.asarray(v))
 
     def frame_sum(self, weights) -> np.ndarray:
         """sum_ab weights[..., a, b] A_{e_a} e_b for a weight matrix (or a
@@ -512,7 +515,8 @@ class LeviCivitaProduct:
 
     def operator(self, u) -> np.ndarray:
         """Matrix of v -> A_u v."""
-        return np.einsum("i,ijk->kj", np.asarray(u), self.table)
+        n = self.table.shape[0]
+        return la.matmul(np.asarray(u), self.table.reshape(n, n * n)).reshape(n, n).T
 
     def torsion_defect(self) -> float:
         t = self.table - np.transpose(self.table, (1, 0, 2)) - self.ela.alg.c
@@ -520,7 +524,7 @@ class LeviCivitaProduct:
 
     def compatibility_defect(self) -> float:
         """max |<A_u v, w> + <v, A_u w>| over basis triples."""
-        cov = la.contract_last(self.table, self.ela.gram)
+        cov = la.matmul(self.table, self.ela.gram)
         return float(np.abs(cov + np.transpose(cov, (0, 2, 1))).max())
 
 
@@ -564,7 +568,7 @@ class Subalgebra:
         """G-orthogonal projector of the parent onto the subspace."""
         b = self.basis
         g = self.parent.gram
-        return b @ la.inv(b.T @ g @ b) @ b.T @ g
+        return la.matmul(b, la.inv(la.matmul(b.T, g, b)), b.T, g)
 
 
 def second_fundamental(sub: Subalgebra, tol: Tolerance = DEFAULT_TOL):
@@ -596,7 +600,7 @@ def second_fundamental(sub: Subalgebra, tol: Tolerance = DEFAULT_TOL):
         _check_cross("tangential Levi-Civita part", tangential[worst], induced[worst], tol)
 
     # summed pair by pair in basis order, the rounding of the old frame loop
-    ginv_sub = la.inv(b.T @ parent.gram @ b)
+    ginv_sub = la.inv(la.matmul(b.T, parent.gram, b))
     return h, la.zeros(n, parent.exact) + (ginv_sub[..., None] * h).sum(axis=(0, 1))
 
 
@@ -619,7 +623,7 @@ def quotient_metric(ela: EuclideanLieAlgebra, ideal: Subalgebra,
                        lambda: la.norm(ela.alg.c) * (1.0 + la.norm(b)) ** 2, la.max_row_norm):
         raise StructureError("subalgebra is not an ideal")
 
-    comp = la.nullspace(b.T @ ela.gram, tol)  # complement: <b_i, .>_G = 0
+    comp = la.nullspace(la.matmul(b.T, ela.gram), tol)  # complement: <b_i, .>_G = 0
     if not ela.exact:                         # a metric-orthonormal basis is irrational
         comp = la.orthonormalize_in_metric(comp, ela.gram, tol)
     return _on_columns(ela, comp, b, tol, name=f"{ela.name}/ideal"), comp
@@ -635,4 +639,4 @@ def _on_columns(ela: EuclideanLieAlgebra, w: np.ndarray, modulo: np.ndarray, tol
     c = la.solve_linear(np.concatenate([w, modulo], axis=1), brackets, tol.scaled(100.0))
     alg = LieAlgebra.from_tensor(c[:k].T.reshape(k, k, k), name=name, exact=ela.exact,
                                  tol=tol.scaled(100.0))
-    return EuclideanLieAlgebra(alg, InnerProduct(w.T @ ela.gram @ w), name=name)
+    return EuclideanLieAlgebra(alg, InnerProduct(la.matmul(w.T, ela.gram, w)), name=name)

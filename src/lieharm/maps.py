@@ -95,7 +95,7 @@ class LieAlgebraMap:
         return LieAlgebraMap(source, tgt, la.eye(source.dim, source.exact), name)
 
     def apply(self, u) -> np.ndarray:
-        return self.matrix @ np.asarray(u)
+        return la.matmul(self.matrix, np.asarray(u))
 
     def adjoint_matrix(self) -> np.ndarray:
         """Matrix of the metric adjoint xi^*: target -> source, defined by
@@ -149,7 +149,7 @@ def compose(outer: LieAlgebraMap, inner: LieAlgebraMap,
     return LieAlgebraMap(
         inner.source,
         outer.target,
-        outer.matrix @ inner.matrix,
+        la.matmul(outer.matrix, inner.matrix),
         name=f"{outer.name or 'outer'}.{inner.name or 'inner'}",
     )
 
@@ -336,7 +336,7 @@ def submersion_split(m: LieAlgebraMap, tol: Tolerance = DEFAULT_TOL) -> Submersi
     sub = Subalgebra(m.source, ker, tol)
     _, mean = second_fundamental(sub, tol)
     quotient, section = quotient_metric(m.source, sub, tol)
-    qmap = LieAlgebraMap(quotient, m.target, m.matrix @ section,
+    qmap = LieAlgebraMap(quotient, m.target, la.matmul(m.matrix, section),
                          name=f"{m.name or 'map'}.induced")
 
     tau_full = tension(m, tol)
@@ -393,7 +393,8 @@ def _kahler_sides(ks: KahlerStructure):
     base, j = ks.base, ks.operator
     n = base.dim
     ops = base.levi_civita().table.transpose(0, 2, 1)      # ops[i] = A_{e_i}
-    return ((j @ j, -la.eye(n, la.is_exact(j))), (j.T @ base.gram @ j, base.gram),
+    return ((la.matmul(j, j), -la.eye(n, la.is_exact(j))),
+            (la.matmul(j.T, base.gram, j), base.gram),
             (la.matmul(ops, j).reshape(n, n * n), la.matmul(j, ops).reshape(n, n * n)))
 
 
@@ -419,12 +420,12 @@ def check_kahler(ks: KahlerStructure, tol: Tolerance = DEFAULT_TOL) -> bool:
 def holomorphic_defect(m: LieAlgebraMap, j_source: np.ndarray,
                        j_target: np.ndarray) -> float:
     """|| xi J_source - J_target xi ||."""
-    return _float_gap(m.matrix @ j_source, j_target @ m.matrix)
+    return _float_gap(la.matmul(m.matrix, j_source), la.matmul(j_target, m.matrix))
 
 
 def is_holomorphic(m: LieAlgebraMap, j_source: np.ndarray, j_target: np.ndarray,
                    tol: Tolerance = DEFAULT_TOL) -> bool:
-    return _negligible(m.matrix @ j_source - j_target @ m.matrix, tol,
+    return _negligible(la.matmul(m.matrix, j_source) - la.matmul(j_target, m.matrix), tol,
                        lambda: la.norm(m.matrix) * (la.norm(j_source) + la.norm(j_target)))
 
 

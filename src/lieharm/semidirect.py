@@ -98,9 +98,10 @@ class SemidirectData:
         skew = self.omega + self.omega.transpose(1, 0, 2)
         if not _negligible(skew, self.tol, lambda: la.norm(self.omega)):
             raise ConstructionError(f"twist is not antisymmetric (defect {la.norm(skew):.3e})")
+        loose = self.tol.scaled(10.0)
         for k in range(dh):
             rows = _derivation_residual(self.kernel, self.rho[k])
-            if not _negligible(rows, self.tol.scaled(10.0), lambda: la.norm(
+            if not _negligible(rows, loose, lambda: la.norm(
                     self.rho[k]) * la.norm(self.kernel.alg.c), la.max_row_norm):
                 raise ConstructionError(f"action of base vector {k} is not a derivation "
                                         f"(defect {la.max_row_norm(rows):.3e})")
@@ -205,7 +206,7 @@ def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> Conditi
 
 def action_trace_vector(sd: SemidirectData) -> np.ndarray:
     """The base vector H with <H, u>_1 = tr(rho(u)) (domain metric dual)."""
-    return la.inv(sd.inner_domain.gram) @ np.trace(sd.rho, axis1=1, axis2=2)
+    return la.matmul(la.inv(sd.inner_domain.gram), np.trace(sd.rho, axis1=1, axis2=2))
 
 
 def build_semidirect(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL
@@ -284,7 +285,7 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
         if not _negligible(om0 + om0.transpose(1, 0, 2), tol, nom0):
             raise ConstructionError("central twist is not antisymmetric")
         scale_c = _once(lambda: la.norm(kernel.alg.c) * nom0())
-        ad_om0 = om0[ii, jj] @ kernel.alg.c.reshape(dn, dn * dn)   # ad_{omega0_ij}
+        ad_om0 = la.matmul(om0[ii, jj], kernel.alg.c.reshape(dn, dn * dn))   # ad_{omega0_ij}
         off = [p for p, row in enumerate(ad_om0) if not _negligible(row, tol, scale_c)]
         if off:
             raise ConstructionError(
@@ -292,7 +293,7 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
                 f"in the kernel's center"
             )
         # T[a,b,c] = omega0([h_a, h_b], h_c); cyclic sums over a < b < c
-        t = (base.c.reshape(dh * dh, dh) @ om0.reshape(dh, dh * dn)).reshape(dh, dh, dh, dn)
+        t = la.matmul(base.c.reshape(dh * dh, dh), om0.reshape(dh, dh * dn)).reshape(dh, dh, dh, dn)
         a, b, c = la.strict_triples(dh)
         if not _negligible(t[a, b, c] + t[b, c, a] + t[c, a, b], tol,
                            lambda: la.norm(base.c) * nom0(), norm=la.max_row_norm):
@@ -300,10 +301,11 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
                 "central twist is not closed under the cyclic sum"
             )
 
-    x = (f.T @ kernel.alg.c.reshape(dn, dn * dn)).reshape(dh, dn, dn)   # [k, b, :] = [F h_k, e_b]
+    # x[k, b, :] = [F h_k, e_b]
+    x = la.matmul(f.T, kernel.alg.c.reshape(dn, dn * dn)).reshape(dh, dn, dn)
     rho = np.ascontiguousarray(x.transpose(0, 2, 1))                  # rho[k] = ad_{F h_k}
     # [F h_i, F h_j] - F([h_i, h_j]) + omega0(h_i, h_j) for i < j
-    val = (f.T @ x)[ii, jj] - base.c[ii, jj] @ f.T + om0[ii, jj]
+    val = la.matmul(f.T, x)[ii, jj] - la.matmul(base.c[ii, jj], f.T) + om0[ii, jj]
     omega = la.zeros((dh, dh, dn), kernel.exact)
     omega[ii, jj] = val
     omega[jj, ii] = -val
@@ -379,7 +381,7 @@ def tension_coordinate_system(base_domain: EuclideanLieAlgebra,
     # <B_u v, w>_2 via the Koszul polarization of the target metric
     u1 = base_domain.unimodular_vector(tol)
     conn = base_target.levi_civita().frame_sum(base_domain.gram_inv)
-    b = conn @ g2 - u1 @ g2
+    b = la.matmul(conn, g2) - la.matmul(u1, g2)
     x = la.solve_linear(g2, b, tol)
     direct = tension(LieAlgebraMap.identity(base_domain, base_target), tol)
     _check_cross("tension coordinate system vs direct tension", x, direct, tol,

@@ -246,6 +246,15 @@ def test_cross_check_requires_exact_routes_to_be_equal():
         _check_cross("zero block", block, 0, DEFAULT_TOL)
 
 
+def test_exact_cross_check_mismatch_beyond_the_float_range():
+    """An exact mismatch is reported exactly, never through a float, so
+    routes beyond the float range raise the documented error."""
+    first, second = la.as_matrix([10**400], True), la.as_matrix([10**400 + 1], True)
+    with pytest.raises(CrossCheckError) as info:
+        _check_cross("x", first, second, DEFAULT_TOL)
+    assert str(info.value) == "x: exact routes differ (largest entry gap 1)"
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_exact_cross_checks_are_decided_exactly(exact, monkeypatch):
     """Routes 1e-12 apart pass the float rule and never the exact one: the

@@ -16,7 +16,7 @@ from lieharm import (
 import lieharm
 from lieharm import _linalg as la
 
-from conftest import principal_sine, rand_pd, reference_nullspace
+from conftest import principal_sine, rand_pd, reference_nullspace, tower
 
 
 def frac_matrix(rows):
@@ -118,6 +118,27 @@ def test_wide_nullspace_matches_the_full_svd(name):
         assert np.array_equal(new, old)
     elif not m.any():
         assert np.array_equal(new, np.eye(m.shape[1]))     # rank 0: the identity
+
+
+@pytest.mark.parametrize("name, top", [("e1", 32), ("heis3", 24), ("nilp5", 20)])
+def test_tall_nullspace_from_the_thin_svd_is_the_full_svd_bit_for_bit(name, top, monkeypatch):
+    """The n^2 x n Killing systems of the tangent towers take the thin SVD
+    (no n^2 x n^2 left factor) and keep the full SVD's basis bit for bit."""
+    svd, asked = np.linalg.svd, []
+
+    def recording_svd(m, full_matrices=True, **kw):
+        asked.append(full_matrices)
+        return svd(m, full_matrices=full_matrices, **kw)
+
+    for ela in tower(name, top):
+        n, c = ela.dim, ela.alg.c
+        system = (c.transpose(0, 2, 1) + la.matmul(ela.gram_inv, c, ela.gram)).reshape(n, n * n).T
+        old = reference_nullspace(system)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        new = la.nullspace(system)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert np.array_equal(new, old)
+    assert asked and not any(asked)
 
 
 def test_unit_rows_give_tau_zero_reflectors():

@@ -631,15 +631,14 @@ def _reads_mode(test) -> bool:
                for n in ast.walk(test))
 
 
-def _mode_branches(tree):
-    """``(function, line)`` of every ``if``, ternary or ``while`` whose test
-    reads the scalar mode, attributed to the innermost enclosing function as
-    ``Class.method`` or ``function``."""
+def _sites(tree, hit):
+    """``(function, line)`` of every node for which ``hit`` holds, attributed
+    to the innermost enclosing function as ``Class.method`` or ``function``."""
     found = []
 
     def visit(node, func, cls):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.If, ast.IfExp, ast.While)) and _reads_mode(child.test):
+            if hit(child):
                 found.append((func, child.lineno))
             if isinstance(child, ast.ClassDef):
                 visit(child, func, child.name)
@@ -652,13 +651,25 @@ def _mode_branches(tree):
     return found
 
 
+def _mode_branches(tree):
+    """The sites of every ``if``, ternary or ``while`` whose test reads the
+    scalar mode."""
+    return _sites(tree, lambda node: isinstance(node, (ast.If, ast.IfExp, ast.While))
+                  and _reads_mode(node.test))
+
+
+def _library_sites(find):
+    """``(module, function, line)`` of ``find``'s sites outside ``_linalg``."""
+    src = Path(lieharm.__file__).parent
+    return [(path.name, func, line)
+            for path in sorted(src.glob("*.py")) if path.name != "_linalg.py"
+            for func, line in find(ast.parse(path.read_text()))]
+
+
 def test_only_the_kept_functions_branch_on_the_scalar_mode():
     """Each kernel has one code path for both scalar modes: outside ``_linalg``
     only the functions of ``MODE_BRANCHES`` test whether data are exact."""
-    src = Path(lieharm.__file__).parent
-    found = [(path.name, func, line)
-             for path in sorted(src.glob("*.py")) if path.name != "_linalg.py"
-             for func, line in _mode_branches(ast.parse(path.read_text()))]
+    found = _library_sites(_mode_branches)
     assert [f"{name}:{line} in {func}" for name, func, line in found
             if func not in MODE_BRANCHES] == []
     assert {func for _, func, _ in found} == set(MODE_BRANCHES)    # no stale entry
@@ -666,6 +677,44 @@ def test_only_the_kept_functions_branch_on_the_scalar_mode():
              "    while la.is_exact(a):\n        pass\n    return _is_exact_route(a) or x\n"
              "class C:\n    def g(self):\n        return 0 if self.exact else 1\n")
     assert _mode_branches(ast.parse(probe)) == [("f", 2), ("f", 4), ("f", 5), ("C.g", 10)]
+
+
+#: the functions that may multiply with bare ``@``, ``np.matmul`` or
+#: ``np.einsum`` instead of ``la.matmul``, and why
+BARE_PRODUCTS = {
+    "_jacobi_sums": "integer kernel on numerators; its ``out=`` buffers need ``np.matmul``",
+    "LeviCivitaProduct._table": "integer kernel: the Koszul sums on numerators",
+    "_cone_constraints": "integer kernel: the trace rows on numerators",
+    "_random_gram": "float-only catalog suite helper",
+    "_unit_normal_to_first": "float-only catalog suite helper",
+    "_check_ricci_form": "float-only catalog suite helper",
+    "_trace_rows": "float-only recipe helper",
+    "_derived_rows": "float-only recipe helper",
+    "_search": "float-only recipe search",
+    "build_harmonic_submersion": "float-only recipe",
+}
+
+
+def _is_bare_product(node) -> bool:
+    """A ``@`` or ``@=``, or a call of ``np.matmul`` or ``np.einsum``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"matmul", "einsum"}
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np")
+
+
+def test_every_other_product_goes_through_la_matmul():
+    """One product layer: outside ``_linalg`` only the integer kernels and the
+    float-only helpers of ``BARE_PRODUCTS`` multiply without ``la.matmul``,
+    so exact operands never reach Fraction arithmetic in a product."""
+    found = _library_sites(lambda tree: _sites(tree, _is_bare_product))
+    assert [f"{name}:{line} in {func}" for name, func, line in found
+            if func not in BARE_PRODUCTS] == []
+    assert {func for _, func, _ in found} == set(BARE_PRODUCTS)    # no stale entry
+    probe = ("def f(a, b):\n    a @= b\n    return a @ b, np.matmul(a, b)\n"
+             "class C:\n    def g(self, a):\n        return np.einsum('i,i', a, a), la.matmul(a, a)\n")
+    assert _sites(ast.parse(probe), _is_bare_product) == [("f", 2), ("f", 3), ("f", 3), ("C.g", 6)]
 
 
 def _int_calls(tree):
