@@ -164,13 +164,12 @@ class LieAlgebra:
         return alg
 
     def bracket(self, u, v) -> np.ndarray:
-        """[u, v] in basis coordinates."""
-        return la.matmul(self.ad(u), np.asarray(v))
+        """[u, v] in basis coordinates, row by row for stacks ``u[..., n]``, ``v[..., n]``."""
+        return la.matmul(self.ad(u), np.asarray(v)[..., None])[..., 0]
 
     def ad(self, u) -> np.ndarray:
-        """Matrix of ad_u = [u, .]."""
-        n = self.dim
-        return la.matmul(np.asarray(u), self.c.reshape(n, n * n)).reshape(n, n).T
+        """Matrix of ad_u = [u, .], or the stack of them for a stack ``u[..., n]``."""
+        return _operators(self.c, u)
 
     def basis(self, i: int) -> np.ndarray:
         return la.as_matrix(np.eye(self.dim)[i], self.exact)
@@ -189,6 +188,16 @@ class LieAlgebra:
         (not necessarily independent)."""
         ii, jj = la.strict_pairs(self.dim)
         return self.c[ii, jj].T
+
+
+def _operators(t: np.ndarray, u) -> np.ndarray:
+    """The matrix of v -> sum_ij u_i v_j t[i, j] (ad_u for ``c``, A_u for the
+    Levi-Civita table), or their stack for a stack ``u[..., n]``.  Each vector
+    is its own vector-matrix product, so a stack is its rows' calls bit for bit."""
+    n = t.shape[0]
+    u = np.asarray(u)
+    rows = la.matmul(u[..., None, :], t.reshape(n, n * n))
+    return rows.reshape(*u.shape[:-1], n, n).swapaxes(-1, -2)
 
 
 @functools.lru_cache(maxsize=64)
@@ -360,8 +369,8 @@ class EuclideanLieAlgebra:
         return self.alg.ad(u)
 
     def ad_star(self, u) -> np.ndarray:
-        """Metric adjoint of ad_u: the matrix M with <ad_u v, w> = <v, M w>."""
-        return la.matmul(self.gram_inv, self.ad(u).T, self.gram)
+        """Metric adjoint of ad_u, the M with <ad_u v, w> = <v, M w> (stacks as in ``ad``)."""
+        return la.matmul(self.gram_inv, self.ad(u).swapaxes(-1, -2), self.gram)
 
     def pair(self, u, v):
         return self.inner.pair(u, v)
@@ -413,22 +422,19 @@ class EuclideanLieAlgebra:
     # -- curvature ----------------------------------------------------------
 
     def curvature(self, u, v) -> np.ndarray:
-        """Matrix of w -> K(u,v)w with K(u,v) = [A_u, A_v] - A_[u,v]."""
+        """Matrix of w -> K(u,v)w, K(u,v) = [A_u, A_v] - A_[u,v] (row by row for stacks)."""
         lc = self.levi_civita()
         au = lc.operator(u)
         av = lc.operator(v)
         return la.matmul(au, av) - la.matmul(av, au) - lc.operator(self.bracket(u, v))
 
     def max_curvature_norm(self) -> float:
-        """max ||K(e_i, e_j)|| over basis pairs i < j, with every K formed
-        at once from the Levi-Civita table (0.0 below dimension 2)."""
+        """max ||K(e_i, e_j)|| over basis pairs i < j, every K in one stacked
+        :meth:`curvature` call (0.0 below dimension 2)."""
         n = self.dim
-        ops = self.levi_civita().table.transpose(0, 2, 1)     # ops[i] = A_{e_i}
+        e = la.eye(n, self.exact)
         ii, jj = la.strict_pairs(n)
-        a_i, a_j = ops[ii], ops[jj]
-        p = len(ii)
-        a_br = la.matmul(self.alg.c[ii, jj], ops.reshape(n, n * n)).reshape(p, n, n)  # A_[e_i,e_j]
-        return la.max_row_norm((la.matmul(a_i, a_j) - la.matmul(a_j, a_i) - a_br).reshape(p, n * n))
+        return la.max_row_norm(self.curvature(e[ii], e[jj]).reshape(len(ii), n * n))
 
     def curvature_trace(self, u, weights) -> np.ndarray:
         """sum_ab weights[a,b] K(u, e_a) e_b, for a vector u or for each row
@@ -441,14 +447,9 @@ class EuclideanLieAlgebra:
         - sum_ab w_ab A_[u,e_a] e_b.
         """
         lc = self.levi_civita()
-        n = self.dim
-        u = np.asarray(u)
-        lead = u.shape[:-1]
-        # a_u[a, b] = (A_u e_a)_b and ad_u[a, x] = [u, e_a]_x
-        a_u = la.matmul(u, lc.table.reshape(n, n * n)).reshape(*lead, n, n)
-        ad_u = la.matmul(u, self.alg.c.reshape(n, n * n)).reshape(*lead, n, n)
+        a_u = lc.operator(u).swapaxes(-1, -2)          # a_u[..., a, b] = (A_u e_a)_b
         return la.matmul(lc.frame_sum(weights), a_u) - lc.frame_sum(
-            la.matmul(weights, a_u) + la.matmul(np.swapaxes(ad_u, -1, -2), weights))
+            la.matmul(weights, a_u) + la.matmul(self.ad(u), weights))
 
     def ricci_operator(self) -> np.ndarray:
         """Matrix of ric(u) = sum_i K(u, b_i) b_i over an orthonormal basis."""
@@ -503,7 +504,8 @@ class LeviCivitaProduct:
         return la.over(rhs @ h, dc * dg * dh)
 
     def product(self, u, v) -> np.ndarray:
-        return la.matmul(self.operator(u), np.asarray(v))
+        """A_u v, row by row for stacks ``u[..., n]``, ``v[..., n]``."""
+        return la.matmul(self.operator(u), np.asarray(v)[..., None])[..., 0]
 
     def frame_sum(self, weights) -> np.ndarray:
         """sum_ab weights[..., a, b] A_{e_a} e_b for a weight matrix (or a
@@ -514,9 +516,8 @@ class LeviCivitaProduct:
         return la.matmul(w.reshape(*w.shape[:-2], n * n), self.table.reshape(n * n, n))
 
     def operator(self, u) -> np.ndarray:
-        """Matrix of v -> A_u v."""
-        n = self.table.shape[0]
-        return la.matmul(np.asarray(u), self.table.reshape(n, n * n)).reshape(n, n).T
+        """Matrix of v -> A_u v, or the stack of them for a stack ``u[..., n]``."""
+        return _operators(self.table, u)
 
     def torsion_defect(self) -> float:
         t = self.table - np.transpose(self.table, (1, 0, 2)) - self.ela.alg.c

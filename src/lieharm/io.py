@@ -196,18 +196,21 @@ def algebra_from_doc(doc: dict, exact: bool = False,
             vec[k] = parse_scalar(pair[1], exact)
         brackets[(i, j)] = vec
     alg = LieAlgebra.from_brackets(dim, brackets, name=name, exact=exact, tol=tol)
-    metric = doc.get("metric", "identity")
-    if isinstance(metric, str):
-        if metric != "identity":
-            raise SpecError(f"unknown metric keyword {metric!r}")
-        inner = InnerProduct.identity(dim, exact)
-    else:
-        gram = _parse_matrix(metric, (dim, dim), exact)
-        skew = gram - gram.T
-        if not _negligible(skew, tol, lambda: la.norm(gram)):
-            raise MetricError(f"metric is not symmetric (defect {la.norm(skew):.3e})")
-        inner = InnerProduct(gram)
+    inner = _parse_metric(doc.get("metric", "identity"), dim, exact, tol)
     return EuclideanLieAlgebra(alg, inner, name=name)
+
+
+def _parse_metric(value, dim: int, exact: bool, tol: Tolerance) -> InnerProduct:
+    """A metric entry: ``"identity"`` or a Gram matrix, symmetric within ``tol``."""
+    if isinstance(value, str):
+        if value != "identity":
+            raise SpecError(f"unknown metric keyword {value!r}")
+        return InnerProduct.identity(dim, exact)
+    gram = _parse_matrix(value, (dim, dim), exact)
+    skew = gram - gram.T
+    if not _negligible(skew, tol, lambda: la.norm(gram)):
+        raise MetricError(f"metric is not symmetric (defect {la.norm(skew):.3e})")
+    return InnerProduct(gram)
 
 
 def algebra_to_doc(ela: EuclideanLieAlgebra) -> dict:
@@ -295,14 +298,7 @@ def semidirect_from_doc(doc: dict, exact: bool = False,
     base_ela = algebra_from_doc(_resolve(base_ref, base_dir), exact, tol)
     base, inner_domain = base_ela.alg, base_ela.inner
     tm = doc.get("target_metric", None)
-    if tm is None:
-        inner_target = inner_domain
-    elif isinstance(tm, str):
-        if tm != "identity":
-            raise SpecError(f"unknown metric keyword {tm!r}")
-        inner_target = InnerProduct.identity(base.dim, exact)
-    else:
-        inner_target = InnerProduct(_parse_matrix(tm, (base.dim, base.dim), exact))
+    inner_target = inner_domain if tm is None else _parse_metric(tm, base.dim, exact, tol)
     if "embedding" in doc:
         f = _parse_matrix(doc["embedding"], (kernel.dim, base.dim), exact)
         om0 = _parse_twist(doc.get("central_twist"), base.dim, kernel.dim, exact)

@@ -88,6 +88,9 @@ class SemidirectData:
                 "base must be a bare LieAlgebra: its domain/target metrics "
                 "are carried separately by inner_domain and inner_target"
             )
+        if len({la.is_exact(x) for x in (self.kernel.alg.c, self.base.c, self.inner_domain.gram,
+                                         self.inner_target.gram, self.rho, self.omega)}) > 1:
+            raise ConstructionError("construction data must use one scalar mode")
         dn, dh = self.kernel.dim, self.base.dim
         if self.inner_domain.dim != dh or self.inner_target.dim != dh:
             raise ConstructionError("base metrics must match the base dimension")
@@ -134,13 +137,12 @@ def derivation_defect(ela: EuclideanLieAlgebra, op) -> float:
 
 def _derivation_residual(ela: EuclideanLieAlgebra, op) -> np.ndarray:
     """The rows D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j] over pairs i < j."""
-    n = ela.dim
     c = ela.alg.c
     op_t = np.asarray(op).T
     d = (la.matmul(c, op_t)                                         # D[e_i, e_j]
-         - la.matmul(op_t, c.reshape(n, n * n)).reshape(n, n, n)    # [D e_i, e_j]
+         - ela.alg.ad(op_t).swapaxes(-1, -2)                        # [D e_i, e_j]
          - la.matmul(op_t, c))                                      # [e_i, D e_j]
-    ii, jj = la.strict_pairs(n)
+    ii, jj = la.strict_pairs(ela.dim)
     return d[ii, jj]
 
 
@@ -156,24 +158,21 @@ class ConditionReport:
         return self.ok
 
 
-def _compatibility_terms(sd: SemidirectData):
-    """Both compatibility equations on all basis tuples, each with its scale (a callable):
-    ``((lhs, rhs, scale), (cyclic, scale))`` with the action equation's two
-    sides ``rho([h_i, h_j])`` and ``[rho_i, rho_j] - ad_{omega(h_i, h_j)}`` as
-    rows over the pairs i < j, and the cocycle equation's cyclic sums, which
-    must vanish, as rows over the triples i < j < k."""
-    dn, dh = sd.dim_kernel, sd.dim_base
-    ker = sd.kernel
-    rho, omega, ch = sd.rho, sd.omega, sd.base.c
+def _compatibility_terms(kernel: EuclideanLieAlgebra, ch: np.ndarray, rho: np.ndarray,
+                         omega: np.ndarray):
+    """Both compatibility equations of ``rho`` and ``omega`` over the base tensor ``ch`` on
+    all basis tuples, each with its scale (a callable): ``((lhs, rhs, scale), (cyclic, scale))``
+    with the action equation's two sides ``rho([h_i, h_j])`` and ``[rho_i, rho_j] -
+    ad_{omega(h_i, h_j)}`` as rows over the pairs i < j, and the cocycle equation's cyclic
+    sums, which must vanish, as rows over the triples i < j < k."""
+    dn, dh = kernel.dim, ch.shape[0]
 
     ii, jj = la.strict_pairs(dh)
     lhs = la.matmul(ch[ii, jj], rho.reshape(dh, dn * dn))
     rho_i, rho_j = rho[ii], rho[jj]
-    ad_omega = la.matmul(omega[ii, jj], ker.alg.c.reshape(dn, dn * dn))       # [p, (x, k)]
-    rhs = (la.matmul(rho_i, rho_j) - la.matmul(rho_j, rho_i)
-           - ad_omega.reshape(-1, dn, dn).transpose(0, 2, 1))
+    rhs = la.matmul(rho_i, rho_j) - la.matmul(rho_j, rho_i) - kernel.alg.ad(omega[ii, jj])
 
-    cyclic = la.zeros((0, dn), sd.exact)
+    cyclic = la.zeros((0, dn), kernel.exact)
     if dh >= 3:
         # S[a,b,c] = rho_a omega(h_b, h_c) - omega([h_a, h_b], h_c); cyclic sums over i < j < k
         s = (la.matmul(omega.reshape(dh * dh, dn), rho.reshape(dh * dn, dn).T)
@@ -185,7 +184,7 @@ def _compatibility_terms(sd: SemidirectData):
 
     nrho, nom, nch = _once(la.norm, rho), _once(la.norm, omega), _once(la.norm, ch)
     return ((lhs, rhs.reshape(-1, dn * dn),
-             lambda: nch() * nrho() + nrho() ** 2 + la.norm(ker.alg.c) * nom()),
+             lambda: nch() * nrho() + nrho() ** 2 + la.norm(kernel.alg.c) * nom()),
             (cyclic, lambda: nrho() * nom() + nch() * nom()))
 
 
@@ -196,7 +195,8 @@ def check_condition(sd: SemidirectData, tol: Tolerance = DEFAULT_TOL) -> Conditi
     defects, truthy exactly when both equations hold, within tolerance for
     float data and exactly for exact data (the tolerance is not read).
     """
-    (lhs, rhs, scale1), (cyclic, scale2) = _compatibility_terms(sd)
+    (lhs, rhs, scale1), (cyclic, scale2) = _compatibility_terms(sd.kernel, sd.base.c, sd.rho,
+                                                                sd.omega)
     action = lhs - rhs
     ok = (_negligible(action, tol.scaled(10.0), scale1, la.max_row_norm)
           and _negligible(cyclic, tol.scaled(10.0), scale2, la.max_row_norm))
@@ -281,37 +281,27 @@ def inner_action_data(kernel: EuclideanLieAlgebra, base: LieAlgebra,
         om0 = omega0
         if om0.shape != (dh, dh, dn):
             raise ConstructionError(f"central twist must be {dh} x {dh} x {dn}")
-        nom0 = _once(la.norm, om0)
-        if not _negligible(om0 + om0.transpose(1, 0, 2), tol, nom0):
+        if not _negligible(om0 + om0.transpose(1, 0, 2), tol, lambda: la.norm(om0)):
             raise ConstructionError("central twist is not antisymmetric")
-        scale_c = _once(lambda: la.norm(kernel.alg.c) * nom0())
-        ad_om0 = la.matmul(om0[ii, jj], kernel.alg.c.reshape(dn, dn * dn))   # ad_{omega0_ij}
-        off = [p for p, row in enumerate(ad_om0) if not _negligible(row, tol, scale_c)]
+        # with no action: rows ad_{omega0(h_i, h_j)} and the cyclic sums of -omega0([h_a, h_b], h_c)
+        (lhs, rhs, scale1), (cyclic, scale2) = _compatibility_terms(
+            kernel, base.c, la.zeros((dh, dn, dn), kernel.exact), om0)
+        off = [p for p, row in enumerate(lhs - rhs) if not _negligible(row, tol, scale1)]
         if off:
-            raise ConstructionError(
-                f"central twist value at base pair ({ii[off[0]]},{jj[off[0]]}) is not "
-                f"in the kernel's center"
-            )
-        # T[a,b,c] = omega0([h_a, h_b], h_c); cyclic sums over a < b < c
-        t = la.matmul(base.c.reshape(dh * dh, dh), om0.reshape(dh, dh * dn)).reshape(dh, dh, dh, dn)
-        a, b, c = la.strict_triples(dh)
-        if not _negligible(t[a, b, c] + t[b, c, a] + t[c, a, b], tol,
-                           lambda: la.norm(base.c) * nom0(), norm=la.max_row_norm):
-            raise ConstructionError(
-                "central twist is not closed under the cyclic sum"
-            )
+            raise ConstructionError(f"central twist value at base pair ({ii[off[0]]},{jj[off[0]]}) "
+                                    f"is not in the kernel's center")
+        if not _negligible(cyclic, tol, scale2, norm=la.max_row_norm):
+            raise ConstructionError("central twist is not closed under the cyclic sum")
 
-    # x[k, b, :] = [F h_k, e_b]
-    x = la.matmul(f.T, kernel.alg.c.reshape(dn, dn * dn)).reshape(dh, dn, dn)
-    rho = np.ascontiguousarray(x.transpose(0, 2, 1))                  # rho[k] = ad_{F h_k}
+    rho = kernel.alg.ad(f.T)                  # rho[k] = ad_{F h_k}
     # [F h_i, F h_j] - F([h_i, h_j]) + omega0(h_i, h_j) for i < j
-    val = la.matmul(f.T, x)[ii, jj] - la.matmul(base.c[ii, jj], f.T) + om0[ii, jj]
+    val = la.matmul(rho, f)[ii, :, jj] - la.matmul(base.c[ii, jj], f.T) + om0[ii, jj]
     omega = la.zeros((dh, dh, dn), kernel.exact)
     omega[ii, jj] = val
     omega[jj, ii] = -val
     sd = SemidirectData(kernel=kernel, base=base, inner_domain=inner_domain,
                         inner_target=inner_target, rho=rho, omega=omega, tol=tol)
-    (lhs, rhs, scale1), (cyclic, scale2) = _compatibility_terms(sd)
+    (lhs, rhs, scale1), (cyclic, scale2) = _compatibility_terms(kernel, base.c, sd.rho, sd.omega)
     _check_cross("inner-action data: action equation", lhs, rhs, tol, scale1)
     _check_cross("inner-action data: cocycle equation", cyclic, 0, tol, scale2)
     return sd
@@ -372,7 +362,10 @@ def tension_coordinate_system(base_domain: EuclideanLieAlgebra,
     k-th basis vector in the target metric, assembled from Koszul pairings
     only (never from the tension vector itself).  Returns ``(A, b, x)``
     with ``x`` the solution, cross-checked against the direct tension
-    computation.
+    computation.  That check is not independent of the pairings: ``b``
+    takes the frame sum of the target Levi-Civita table with the domain's
+    G^-1, which is the sum :func:`~lieharm.maps.connection_trace` takes for
+    the identity map, so the cross-check tests only the linear solve.
     """
     if base_domain.alg is not base_target.alg and not _negligible(
             base_domain.alg.c - base_target.alg.c, tol, lambda: la.norm(base_domain.alg.c)):

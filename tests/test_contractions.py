@@ -676,7 +676,10 @@ def test_matmul_leaves_float_products_alone(rng):
 def test_products_agree_with_the_object_einsums_they_replaced(exact, rng):
     """``ad``, ``bracket``, ``operator``, ``product``, ``apply`` and ``pair``,
     all through ``la.matmul``, against einsum and plain ``@``: exact ones are
-    the same Fractions, float ones agree to a relative 1e-14."""
+    the same Fractions, float ones agree to a relative 1e-14.  On a (3, n)
+    stack, ``ad``, ``bracket``, ``operator``, ``product``, ``curvature`` and
+    ``ad_star`` equal their single-vector calls slice by slice: the same
+    Fractions, bit-equal floats."""
     for n in range(1, 6):
         ela = rand_ela(rng, n, exact)
         lc, c = ela.levi_civita(), ela.alg.c
@@ -694,6 +697,31 @@ def test_products_agree_with_the_object_einsums_they_replaced(exact, rng):
                 assert np.asarray(new).tolist() == np.asarray(old).tolist()
             else:
                 assert np.linalg.norm(new - old) <= 1e-14 * np.linalg.norm(old)
+
+        us, vs = rand_matrix(rng, (3, n), exact), rand_matrix(rng, (3, n), exact)
+        for f, args in [(ela.ad, (us,)), (lc.operator, (us,)), (ela.ad_star, (us,)),
+                        (ela.bracket, (us, vs)), (lc.product, (us, vs)),
+                        (ela.curvature, (us, vs))]:
+            stacked = f(*args)
+            assert len(stacked) == 3
+            for k, new in enumerate(stacked):
+                old = f(*(a[k] for a in args))
+                assert new.shape == old.shape
+                if exact:
+                    assert all(type(x) is Fraction for x in np.ravel(new))
+                    assert new.tolist() == old.tolist()
+                else:
+                    assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("exact", MODES)
+def test_max_curvature_norm_is_the_largest_basis_pair_curvature(exact, rng):
+    for n in range(1, 6):
+        ela = rand_ela(rng, n, exact)
+        e = la.eye(n, exact)
+        loop = max((la.norm(ela.curvature(e[i], e[j])) for i in range(n)
+                    for j in range(i + 1, n)), default=0.0)
+        assert_same_defect(ela.max_curvature_norm(), loop, exact)
 
 
 # Verbatim copy of the Fraction elimination the kernel replaced.

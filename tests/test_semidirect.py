@@ -868,3 +868,20 @@ def test_inner_action_rejects_central_twist_not_closed():
         else:
             with pytest.raises(ConstructionError, match="cyclic sum"):
                 inner_action_data(kernel, base, ident, ident, np.zeros((3, 3)), omega0=omega0)
+
+
+def test_data_of_mixed_scalar_modes_are_refused():
+    """An exact kernel over a float base used to construct and then fail in
+    ``build_semidirect`` with a bare AttributeError; a float action among
+    exact data used to pass silently.  Both are refused at construction."""
+    kernel, base = get("heis3", exact=True).ela, get("e1").ela
+    exact_base = get("e1", exact=True).ela
+    with pytest.raises(ConstructionError, match="one scalar mode"):
+        semidirect.SemidirectData(kernel, base.alg, base.inner, base.inner,
+                                  la.zeros((2, 3, 3), True), la.zeros((2, 2, 3), True))
+    with pytest.raises(ConstructionError, match="one scalar mode"):
+        semidirect.SemidirectData(kernel, exact_base.alg, exact_base.inner, exact_base.inner,
+                                  np.zeros((2, 3, 3)), la.zeros((2, 2, 3), True))
+    data = semidirect.SemidirectData(kernel, exact_base.alg, exact_base.inner, exact_base.inner,
+                                     la.zeros((2, 3, 3), True), la.zeros((2, 2, 3), True))
+    assert build_semidirect(data)[0].exact

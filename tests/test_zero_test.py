@@ -55,7 +55,7 @@ from lieharm import (
     tension_coordinate_system,
     validate_hom,
 )
-from lieharm.io import algebra_from_doc, algebra_to_doc, semidirect_to_doc
+from lieharm.io import algebra_from_doc, algebra_to_doc, semidirect_from_doc, semidirect_to_doc
 from lieharm.maps import submersion_split
 
 
@@ -247,6 +247,14 @@ def _metric_symmetry(eps):
                     "metric is not symmetric")
 
 
+def _target_metric_symmetry(eps):
+    e1 = {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [[0, 1]]}]}
+    doc = {"kernel": {"dim": 1}, "base": e1, "action": [[[0]], [[0]]],
+           "target_metric": [[1, str(eps) if isinstance(eps, Fraction) else eps], [0, 1]]}
+    return _accepts(lambda: semidirect_from_doc(doc, exact=isinstance(eps, Fraction)),
+                    MetricError, "metric is not symmetric")
+
+
 def _dependent_basis(eps):
     basis = _mat([[1, 1], [0, eps], [0, 0]], eps)         # z, z + eps f
     return not _accepts(lambda: Subalgebra(_heis(eps), basis), StructureError, "dependent")
@@ -297,6 +305,7 @@ SITES = {
     "cone_membership symmetry": _cone_symmetry,
     "cone_membership trace identity": _cone_trace,
     "io metric symmetry": _metric_symmetry,
+    "io target metric symmetry": _target_metric_symmetry,
     "Subalgebra independence": _dependent_basis,
     "Automorphism.validate invertibility": _singular_automorphism,
     "submersion_split surjectivity": _not_onto,
@@ -620,6 +629,7 @@ MODE_BRANCHES = {
     "EuclideanLieAlgebra.__init__": "mode-consistency check",
     "LieAlgebraMap.__post_init__": "mode-consistency check",
     "Automorphism.__post_init__": "mode-consistency check",
+    "SemidirectData.__post_init__": "mode-consistency check",
 }
 
 _MODE_NAMES = {"exact", "is_exact"}
