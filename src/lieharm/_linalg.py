@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -229,13 +230,7 @@ def _echelon(m: np.ndarray):
 
 def exact_nullspace(m: np.ndarray) -> np.ndarray:
     """Exact basis (columns) of the kernel of a Fraction matrix."""
-    cols = m.shape[1]
-    a, pivots, d = _echelon(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros((cols, len(free)), exact=True)
-    basis[free, range(len(free))] = Fraction(1)
-    basis[pivots] = over(-a[: len(pivots), free], d)
-    return basis
+    return kernel(m).basis
 
 
 def exact_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -310,41 +305,92 @@ def _row_space_complement(rows: np.ndarray) -> np.ndarray:
     return q2
 
 
-def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Basis (columns) of the numerical kernel of ``m``.
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """One rank decision on a matrix and the kernel it leaves.
+
+    ``rank`` is the decided rank and ``cols`` the number of columns, so the
+    kernel has dimension ``cols - rank``.  In float mode ``kept`` holds the
+    ``rank`` right singular vectors that the cut keeps, as orthonormal rows:
+    they span the row space, so a vector x lies in the kernel exactly when
+    ``kept @ x`` is small (Golub & Van Loan, Matrix Computations, 2.4).
+    In exact mode ``kept`` is None.  ``basis`` (columns) is formed on first
+    access, as :func:`nullspace` documents it.
+    """
+
+    rank: int
+    cols: int
+    kept: Optional[np.ndarray]
+    _form: Callable[[], np.ndarray] = field(repr=False)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        return self._form()
+
+    def residual(self, vec: np.ndarray) -> np.ndarray:
+        """A residual of ``vec`` that vanishes exactly when it lies in the
+        kernel: its coordinates on the kept rows, whose norm is its distance
+        from the kernel, so no float basis is formed; in exact mode
+        :func:`kernel_residual` on the exact basis."""
+        return kernel_residual(self.basis, vec) if self.kept is None else matmul(self.kept, vec)
+
+
+def _exact_basis(a: np.ndarray, pivots, d: int) -> np.ndarray:
+    """The exact kernel basis read off an :func:`_echelon` result: a unit in
+    each free column's own row, minus the reduced pivot rows' entries."""
+    cols = a.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = zeros((cols, len(free)), exact=True)
+    basis[free, range(len(free))] = Fraction(1)
+    basis[pivots] = over(-a[: len(pivots), free], d)
+    return basis
+
+
+def kernel(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Kernel:
+    """The one rank and kernel decision of the library.
 
     Float mode: SVD; a singular value sigma_i counts as zero when
-    ``sigma_i < tol.rel * sigma_max + tol.abs`` and the returned basis is
+    ``sigma_i < tol.rel * sigma_max + tol.abs``, and the basis is
     orthonormal.  A tall or square matrix takes the thin SVD, whose right
     factor is already all of V (no rows x rows left factor is formed).  A
     wide matrix with more than :data:`COMPLEMENT_MIN_COLS` columns (the
-    large harmonic-cone systems) takes one thin SVD and returns
-    the complement of its k kept right singular vectors from k Householder
-    reflectors, instead of forming the full N x N right factor; below the
-    cut that route's fixed costs exceed the full SVD's.  Both routes use the
-    same singular values, so the rank is decided the same way, but above the
-    cut the basis is a different orthonormal basis of the same kernel.
-    Exact mode: reduced row echelon elimination; the basis is exact but not
+    large harmonic-cone systems) takes one thin SVD, and its basis is the
+    complement of the kept rows from ``rank`` Householder reflectors, instead
+    of the full N x N right factor; below the cut that route's fixed costs
+    exceed the full SVD's.  Both routes use the same singular values, so the
+    rank is decided the same way, but above the cut the basis is a different
+    orthonormal basis of the same kernel.
+    Exact mode: fraction-free elimination; the basis is exact but not
     orthonormal.
     """
     if is_exact(m):
-        return exact_nullspace(m)
+        a, pivots, d = _echelon(m)
+        return Kernel(len(pivots), m.shape[1], None, lambda: _exact_basis(a, pivots, d))
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.size == 0:
-        return np.eye(m.shape[1])[:, : m.shape[1]]
     rows, cols = m.shape
     wide = cols > COMPLEMENT_MIN_COLS and rows < cols
-    _, s, vh = np.linalg.svd(m, full_matrices=cols > rows and not wide)
+    if m.size:
+        _, s, vh = np.linalg.svd(m, full_matrices=cols > rows and not wide)
+    else:
+        s, vh = np.zeros(0), np.eye(cols)
     smax = s[0] if s.size else 0.0
-    thr = tol.rel * smax + tol.abs
-    rank = int(np.sum(s >= thr))
+    rank = int(np.sum(s >= tol.rel * smax + tol.abs))
+    kept = vh[:rank]
     if not wide:
-        return vh[rank:].T.copy()
-    return _row_space_complement(vh[:rank]) if rank else np.eye(cols)
+        form = lambda: vh[rank:].T.copy()
+    else:
+        form = lambda: _row_space_complement(kept) if rank else np.eye(cols)
+    return Kernel(rank, cols, kept, form)
+
+
+def nullspace(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Basis (columns) of the numerical kernel of ``m`` (see :func:`kernel`)."""
+    return kernel(m, tol).basis
 
 
 def rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    return m.shape[1] - nullspace(m, tol).shape[1]
+    """Rank of ``m`` as :func:`kernel` decides it; no kernel basis is formed."""
+    return kernel(m, tol).rank
 
 
 def solve_linear(m: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -20,7 +20,7 @@ dimension of the linear span.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -173,11 +173,33 @@ class ConeResult:
     the trace condition (in float mode the S are Frobenius-orthonormal); the
     cone itself is the positive-definite subset, whose interior contains
     ``sample_interior`` (always the identity operator).  Arrays are read-only.
+
+    ``dimension`` is read off the kernel decision of the trace rows, and
+    ``sym_basis`` is formed from that kernel's basis on its first read, so a
+    caller of ``dimension`` alone forms no operator.  The identity operator
+    must lie in the kernel: :func:`harmonic_cone` checks this on the kept
+    rows (float) or on the exact basis, and the first read of ``sym_basis``
+    checks it again on the basis it forms.
     """
 
-    sym_basis: Tuple[np.ndarray, ...]
     dimension: int
     sample_interior: np.ndarray
+    _kernel: la.Kernel = field(repr=False)
+    _gram: np.ndarray = field(repr=False)
+    _gram_inv: np.ndarray = field(repr=False)
+    _tol: Tolerance = field(repr=False)
+
+    @functools.cached_property
+    def sym_basis(self) -> Tuple[np.ndarray, ...]:
+        basis = self._kernel.basis
+        n = len(self._gram)
+        _check_identity(la.kernel_residual(basis, _identity_coordinates(self._gram)),
+                        self._gram, self._tol)
+        _, _, u, pos = _sym_coordinates(n, la.is_exact(basis))
+        sym, units = basis.T[:, pos], u[pos]
+        np.multiply(sym, units, out=sym, where=units != 1)     # in exact mode no unit rescales
+        ops, = la._frozen(la.matmul(self._gram_inv, sym.reshape(-1, n, n)))
+        return tuple(ops)
 
 
 @functools.lru_cache(maxsize=64)
@@ -195,6 +217,20 @@ def _sym_coordinates(n: int, exact: bool):
     return la._frozen(a, b, u, pos.reshape(-1))
 
 
+def _identity_coordinates(gram: np.ndarray) -> np.ndarray:
+    """The identity operator J = 1, that is S = gram, in the coordinates of S."""
+    a, b, u, _ = _sym_coordinates(len(gram), la.is_exact(gram))
+    return np.divide(gram[a, b], u, out=gram[a, b], where=u != 1)
+
+
+def _check_identity(residual, gram: np.ndarray, tol: Tolerance) -> None:
+    """Raise :class:`~lieharm.core.CrossCheckError` unless the identity
+    operator's ``residual`` against the cone's kernel vanishes: a metric
+    always reaches itself, so a nonzero residual is a solver failure."""
+    _check_cross("identity operator in the harmonic-cone span", residual, 0, tol,
+                 lambda: la.norm(gram))
+
+
 def _cone_constraints(ela: EuclideanLieAlgebra) -> np.ndarray:
     """The n trace rows on the coordinates of S: row k is tr(J ad_k) -
     tr(ad_{J b_k}) = <T_k, J> = <gram^{-1} T_k, S>, T_k[a, b] = c[k, a, b] -
@@ -210,28 +246,23 @@ def _cone_constraints(ela: EuclideanLieAlgebra) -> np.ndarray:
 
 
 def harmonic_cone(ela: EuclideanLieAlgebra, tol: Tolerance = DEFAULT_TOL) -> ConeResult:
-    """The nullspace of the trace rows on S, mapped to J = gram^{-1} S;
+    """The kernel of the trace rows on S, mapped to J = gram^{-1} S;
     memoized on ``ela`` per tolerance.
 
     The identity operator, S = gram, always solves them (a metric reaches
-    itself); its absence from the computed span would mean a solver failure
-    and raises :class:`~lieharm.core.CrossCheckError`.
+    itself); its absence from the kernel would mean a solver failure and
+    raises :class:`~lieharm.core.CrossCheckError`.  It is checked here on the
+    kept rows of the SVD (float) or on the exact basis, and again on the
+    basis that the first read of ``sym_basis`` forms.
     """
     cached = ela._cones.get(tol)
     if cached is not None:
         return cached
-    n = ela.dim
-    basis = la.nullspace(_cone_constraints(ela), tol)
-    a, b, u, pos = _sym_coordinates(n, ela.exact)
-    scaled = u != 1                             # in exact mode no unit rescales
-    x_gram = np.divide(ela.gram[a, b], u, out=ela.gram[a, b], where=scaled)
-    _check_cross("identity operator in the harmonic-cone span",
-                 la.kernel_residual(basis, x_gram), 0, tol, lambda: la.norm(ela.gram))
-    np.multiply(basis, u[:, None], out=basis, where=scaled[:, None])   # in place
-    sym = basis.T[:, pos].reshape(basis.shape[1], n, n)
-    del basis                                   # freed before the operators are formed
-    ops, eye = la._frozen(la.matmul(ela.gram_inv, sym), la.eye(n, ela.exact))
-    result = ConeResult(sym_basis=tuple(ops), dimension=len(ops), sample_interior=eye)
+    kern = la.kernel(_cone_constraints(ela), tol)
+    _check_identity(kern.residual(_identity_coordinates(ela.gram)), ela.gram, tol)
+    eye, = la._frozen(la.eye(ela.dim, ela.exact))
+    result = ConeResult(dimension=kern.cols - kern.rank, sample_interior=eye, _kernel=kern,
+                        _gram=ela.gram, _gram_inv=ela.gram_inv, _tol=tol)
     ela._cones[tol] = result
     return result
 

@@ -150,14 +150,25 @@ def test_exact_row_spaces_match_the_full_system(rng):
         assert la.rank(np.concatenate([old, new], axis=1)) == old.shape[1]
 
 
-def test_gathered_basis_equals_the_scattered_one():
-    """Bit-identical operators on the float towers (e1 to dimension 32) and
-    the exact towers to dimension 8."""
+def test_gathered_basis_equals_the_scattered_one(monkeypatch):
+    """Bit-identical operators on the float towers (e1 to dimension 32, heis3
+    to 24) and the exact towers to dimension 8, formed only when read:
+    ``dimension`` and ``harmonic_dimension_check`` take no Householder
+    complement, no float basis and no operators."""
+    complement, calls = la._row_space_complement, []
+    monkeypatch.setattr(la, "_row_space_complement",
+                        lambda rows: calls.append(rows) or complement(rows))
     elas = (tower("e1", 32, False, a=1.5) + tower("heis3", 24, False)
             + tower("e1", 8, True, a=Fraction(3, 2)) + tower("heis3", 8, True))
     for ela in elas:
-        new, old = harmonic_cone(ela).sym_basis, reference_sym_basis(ela)
-        assert len(new) == len(old), (ela.name, ela.dim)
+        res = harmonic_cone(ela)
+        if ela.is_unimodular():
+            assert harmonic_dimension_check(ela)[0] == res.dimension
+        assert calls == [] and "sym_basis" not in vars(res), (ela.name, ela.dim)
+        assert ela.exact or "basis" not in vars(res._kernel), (ela.name, ela.dim)
+        new, old = res.sym_basis, reference_sym_basis(ela)
+        calls.clear()
+        assert res.dimension == len(new) == len(old), (ela.name, ela.dim)
         for x, y in zip(new, old):
             assert x.dtype == y.dtype and np.array_equal(x, y), (ela.name, ela.dim)
 
@@ -236,6 +247,7 @@ def test_cone_is_memoized_per_algebra_and_tolerance(monkeypatch):
         res = harmonic_cone(ela)
         assert harmonic_dimension_check(ela) == (4, 4)
         assert harmonic_cone(ela) is res
+        assert res.sym_basis is res.sym_basis
         loose = Tolerance(1e-6, 1e-6)
         assert harmonic_cone(ela, loose) is not res
         assert harmonic_cone(ela, loose) is harmonic_cone(ela, loose)
@@ -271,13 +283,38 @@ def test_ill_conditioned_verdicts(make, verdict):
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_identity_check_still_guards_the_solver(exact, monkeypatch):
-    """A nullspace that loses a direction of the cone, here its last basis
-    column, leaves the identity outside the span and raises."""
+    """A kernel decision that loses the identity direction of the cone raises
+    when the cone is built: in float mode its kept rows are made to include
+    that direction, in exact mode its basis loses its last column."""
     ela = get("heis3", exact=exact).ela
-    solve = la.nullspace
-    monkeypatch.setattr(la, "nullspace", lambda m, tol: solve(m, tol)[:, :-1])
+    decide = la.kernel
+
+    def losing(m, tol):
+        k = decide(m, tol)
+        if exact:
+            return dataclasses.replace(k, rank=k.rank + 1, _form=lambda: k.basis[:, :-1])
+        x = cone_module._identity_coordinates(ela.gram)
+        return dataclasses.replace(k, rank=k.rank + 1, kept=np.vstack([k.kept, x / la.norm(x)]))
+
+    monkeypatch.setattr(la, "kernel", losing)
     with pytest.raises(CrossCheckError, match="identity operator"):
         harmonic_cone(ela)
+
+
+def test_identity_check_guards_the_formed_basis(monkeypatch):
+    """Above the column cut the basis is formed on the first read of
+    ``sym_basis``; a Householder complement that drops the identity direction
+    passes the kept-row check but raises on that read."""
+    ela = tower("heis3", 24, False)[-1]
+    x = cone_module._identity_coordinates(ela.gram)
+    x = x / la.norm(x)
+    complement = la._row_space_complement
+    monkeypatch.setattr(la, "_row_space_complement",
+                        lambda rows: (q := complement(rows)) - np.outer(x, x @ q))
+    res = harmonic_cone(ela)
+    assert res.dimension == reference_nullspace(cone_module._cone_constraints(ela)).shape[1]
+    with pytest.raises(CrossCheckError, match="identity operator"):
+        res.sym_basis
 
 
 def test_dimension_check_refuses_counts_that_differ_by_one(monkeypatch):

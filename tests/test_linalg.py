@@ -120,6 +120,23 @@ def test_wide_nullspace_matches_the_full_svd(name):
         assert np.array_equal(new, np.eye(m.shape[1]))     # rank 0: the identity
 
 
+@pytest.mark.parametrize("name", list(wide_cases()))
+def test_rank_forms_no_basis_and_the_kept_rows_annihilate_it(name, monkeypatch):
+    """``la.rank`` reads the kernel decision alone: the full SVD's verdict,
+    without the Householder complement.  The kept rows are orthonormal and
+    orthogonal to the basis formed afterwards."""
+    m = wide_cases()[name]
+    complement, calls = la._row_space_complement, []
+    monkeypatch.setattr(la, "_row_space_complement",
+                        lambda rows: calls.append(rows) or complement(rows))
+    assert la.rank(m) == m.shape[1] - reference_nullspace(m).shape[1]
+    assert calls == []
+    k = la.kernel(m)
+    assert np.linalg.norm(k.kept @ k.kept.T - np.eye(k.rank)) <= 1e-12
+    assert np.linalg.norm(k.kept @ k.basis) <= 1e-12
+    assert k.basis is k.basis and k.basis.shape[1] == k.cols - k.rank
+
+
 @pytest.mark.parametrize("name, top", [("e1", 32), ("heis3", 24), ("nilp5", 20)])
 def test_tall_nullspace_from_the_thin_svd_is_the_full_svd_bit_for_bit(name, top, monkeypatch):
     """The n^2 x n Killing systems of the tangent towers take the thin SVD
